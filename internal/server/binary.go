@@ -4,24 +4,21 @@ import (
 	"bufio"
 	"encoding/json"
 	"fmt"
-	"io"
 	"net"
 	"sync"
 	"sync/atomic"
 	"time"
-
-	"ode/internal/txn"
 )
 
-// Server side of the ODE2 binary protocol (frame.go has the layout,
+// Listening side of the ODE2 binary protocol (frame.go has the layout,
 // docs/PROTOCOL.md the spec). One connection fans out to three kinds of
 // goroutine:
 //
 //	reader (this goroutine) ──► per-sid workers ──► writer
 //
 // The reader decodes frames and routes each request to its session's
-// worker; a worker is one sid's session — it owns that sid's open
-// transaction and processes its requests strictly in order (per-session
+// worker; a worker is one sid's session — it owns that sid's
+// SessionHandler and feeds it requests strictly in order (per-session
 // FIFO, matching the JSON protocol's semantics). Different sids proceed
 // concurrently, so responses complete out of order across sessions and
 // the single writer goroutine serializes them back onto the wire,
@@ -61,7 +58,7 @@ type binWorker struct {
 
 // serveBinary runs the frame loop for one upgraded connection. br has
 // consumed the magic; cw counts bytes out.
-func (s *Server) serveBinary(conn net.Conn, br *bufio.Reader, cw *countingWriter) {
+func (f *Front) serveBinary(conn net.Conn, br *bufio.Reader, cw *countingWriter) {
 	out := make(chan binOut, binQueueDepth)
 	var (
 		writerWG sync.WaitGroup
@@ -72,7 +69,7 @@ func (s *Server) serveBinary(conn net.Conn, br *bufio.Reader, cw *countingWriter
 	writerWG.Add(1)
 	go func() {
 		defer writerWG.Done()
-		s.binaryWriter(conn, cw, out)
+		f.binaryWriter(conn, cw, out)
 	}()
 
 	workers := make(map[uint32]*binWorker) // reader-goroutine-owned
@@ -94,43 +91,36 @@ func (s *Server) serveBinary(conn net.Conn, br *bufio.Reader, cw *countingWriter
 		workerWG.Add(1)
 		go func() {
 			defer workerWG.Done()
-			s.binaryWorker(conn, w, out, &inflight)
+			f.binaryWorker(conn, w, out, &inflight)
 		}()
 		return w
 	}
 
 	for {
-		if s.opts.IdleTimeout > 0 {
+		if f.opts.IdleTimeout > 0 {
 			if inflight.Load() == 0 {
 				// Arm the idle deadline only when the connection is
 				// quiescent: a pipelined batch blocked on locks must not
 				// get its connection cut from under it.
-				conn.SetReadDeadline(time.Now().Add(s.opts.IdleTimeout))
+				conn.SetReadDeadline(time.Now().Add(f.opts.IdleTimeout))
 			} else {
 				conn.SetReadDeadline(time.Time{})
 			}
 		}
-		h, err := readFrameHeader(br)
-		if err != nil {
+		h, payload, err := readFrame(br, f.opts.MaxRequestBytes)
+		if err != nil && err != ErrRequestTooLarge {
 			return // disconnect, idle deadline, or unrecoverable framing
 		}
-		s.m.framesIn.Inc()
-		if h.n > s.opts.MaxRequestBytes {
-			// The header still delimits the request exactly: skip the
-			// payload without materializing it and keep the connection —
-			// unlike the JSON path, framing survives an oversized request.
-			if _, err := io.CopyN(io.Discard, br, int64(h.n)); err != nil {
-				return
-			}
-			s.m.oversized.Inc()
+		f.m.framesIn.Inc()
+		if err != nil {
+			// The header delimited the oversized request exactly and
+			// readFrame skipped it: keep the connection — unlike the JSON
+			// path, framing survives an oversized request.
+			f.m.oversized.Inc()
 			out <- binOut{sid: h.sid, id: h.id, resp: &Response{
-				Error: fmt.Sprintf("%v: exceeds %d bytes", ErrRequestTooLarge, s.opts.MaxRequestBytes),
+				Error: fmt.Sprintf("%v: exceeds %d bytes", ErrRequestTooLarge, f.opts.MaxRequestBytes),
 			}}
 			continue
-		}
-		payload := make([]byte, h.n)
-		if _, err := io.ReadFull(br, payload); err != nil {
-			return
 		}
 		switch h.typ {
 		case frameClose:
@@ -147,20 +137,20 @@ func (s *Server) serveBinary(conn net.Conn, br *bufio.Reader, cw *countingWriter
 				out <- binOut{sid: h.sid, id: h.id, resp: &Response{OK: true}}
 			}
 		case frameReq:
-			var req Request
-			if err := json.Unmarshal(payload, &req); err != nil {
+			req, stream, malformed := f.decode(payload)
+			if malformed != nil {
 				// Framing is intact, so unlike the JSON protocol a bad
 				// payload costs only this request, not the connection.
-				out <- binOut{sid: h.sid, id: h.id, resp: &Response{Error: "malformed request: " + err.Error()}}
+				out <- binOut{sid: h.sid, id: h.id, resp: malformed}
 				continue
 			}
-			if _, ok := s.opts.StreamOps[req.Op]; ok {
+			if stream != nil {
 				out <- binOut{sid: h.sid, id: h.id, resp: &Response{Error: ErrStreamOverBinary.Error()}}
 				continue
 			}
 			depth := inflight.Add(1)
-			s.m.pipelineDepth.Observe(depth)
-			worker(h.sid).ch <- binReq{id: h.id, req: &req}
+			f.m.pipelineDepth.Observe(depth)
+			worker(h.sid).ch <- binReq{id: h.id, req: req}
 		default:
 			// An unknown frame type means the peer speaks a different
 			// dialect; answer and hang up rather than guess at framing.
@@ -172,38 +162,33 @@ func (s *Server) serveBinary(conn net.Conn, br *bufio.Reader, cw *countingWriter
 
 // binaryWorker is one session's request loop: strictly in-order within
 // the sid, concurrent across sids.
-func (s *Server) binaryWorker(conn net.Conn, w *binWorker, out chan<- binOut, inflight *atomic.Int64) {
-	sess := &session{srv: s, db: s.db, primary: s.opts.PrimaryAddr, proto: "binary"}
-	defer func() {
-		if sess.tx != nil && sess.tx.State() == txn.Active {
-			sess.tx.Abort()
+func (f *Front) binaryWorker(conn net.Conn, w *binWorker, out chan<- binOut, inflight *atomic.Int64) {
+	reply := func(id uint64, resp *Response) {
+		out <- binOut{sid: w.sid, id: id, resp: resp}
+		if inflight.Add(-1) == 0 && f.opts.IdleTimeout > 0 {
+			// The reader cleared the deadline while work was in flight
+			// and is already blocked; re-arm it here or an idle pipelined
+			// connection would never time out.
+			conn.SetReadDeadline(time.Now().Add(f.opts.IdleTimeout))
 		}
-	}()
+	}
+	sess := f.newSession("binary", reply)
 	for r := range w.ch {
 		if r.req == nil {
 			// frameClose: abort the open transaction (the same contract a
 			// JSON disconnect has), acknowledge, and retire the worker.
-			if sess.tx != nil && sess.tx.State() == txn.Active {
-				sess.tx.Abort()
-				sess.tx = nil
-			}
+			sess.Abort()
 			out <- binOut{sid: w.sid, id: r.id, resp: &Response{OK: true}}
 			return
 		}
-		var resp *Response
-		if fn, ok := s.opts.ExtraOps[r.req.Op]; ok {
-			resp = safeExtra(fn, r.req)
-		} else {
-			resp = sess.safeHandle(r.req)
+		if resp := safeHandle(sess, r.id, r.req); resp != nil {
+			reply(r.id, resp)
 		}
-		out <- binOut{sid: w.sid, id: r.id, resp: resp}
-		if inflight.Add(-1) == 0 && s.opts.IdleTimeout > 0 {
-			// The reader cleared the deadline while work was in flight
-			// and is already blocked; re-arm it here or an idle pipelined
-			// connection would never time out.
-			conn.SetReadDeadline(time.Now().Add(s.opts.IdleTimeout))
+		if len(w.ch) == 0 {
+			sess.Drain()
 		}
 	}
+	sess.Abort() // the connection is going away
 }
 
 // binaryWriter is the connection's single writer loop. Responses are
@@ -211,7 +196,7 @@ func (s *Server) binaryWorker(conn net.Conn, w *binWorker, out chan<- binOut, in
 // burst of pipelined completions coalesces into few syscalls. After a
 // write error it keeps draining the queue (discarding) so workers never
 // block on a dead connection.
-func (s *Server) binaryWriter(conn net.Conn, cw *countingWriter, out <-chan binOut) {
+func (f *Front) binaryWriter(conn net.Conn, cw *countingWriter, out <-chan binOut) {
 	bw := bufio.NewWriter(cw)
 	var werr error
 	fail := func(err error) {
@@ -233,7 +218,7 @@ func (s *Server) binaryWriter(conn net.Conn, cw *countingWriter, out <-chan binO
 			fail(err)
 			continue
 		}
-		s.m.framesOut.Inc()
+		f.m.framesOut.Inc()
 		if len(out) == 0 {
 			if err := bw.Flush(); err != nil {
 				fail(err)

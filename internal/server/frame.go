@@ -84,6 +84,29 @@ func readFrameHeader(br *bufio.Reader) (frameHeader, error) {
 	}, nil
 }
 
+// readFrame reads the next frame the way a listening front consumes
+// it: header, then payload. A payload over max is skipped without being
+// materialized and reported as ErrRequestTooLarge beside its header —
+// the stream stays in step, so the caller can answer that one request
+// and read on. Any other error means the connection is done.
+func readFrame(br *bufio.Reader, max int) (frameHeader, []byte, error) {
+	h, err := readFrameHeader(br)
+	if err != nil {
+		return h, nil, err
+	}
+	if h.n > max {
+		if _, err := io.CopyN(io.Discard, br, int64(h.n)); err != nil {
+			return h, nil, err
+		}
+		return h, nil, ErrRequestTooLarge
+	}
+	payload := make([]byte, h.n)
+	if _, err := io.ReadFull(br, payload); err != nil {
+		return h, nil, err
+	}
+	return h, payload, nil
+}
+
 // writeFrame encodes one frame. The header is assembled into a single
 // buffer so a frame is at most two Write calls (header+payload); the
 // caller supplies a bufio.Writer for coalescing.

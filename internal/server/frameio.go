@@ -6,11 +6,12 @@ import (
 	"io"
 )
 
-// Exported frame I/O for out-of-process fronts. The shard router
-// (internal/shard) terminates the binary protocol itself — it is not a
-// Server, but it must speak byte-identical framing — so the primitive
-// read/write operations and the wire constants are exported here.
-// frame.go remains the canonical description of the layout.
+// Exported frame I/O for code outside this package that must speak
+// byte-identical framing without being a Front or a client: the
+// benchmark's codec timing and tracing relay, and the cross-package
+// wire tests. Every listener — a Server's and the shard router's — reads
+// frames through Front (binary.go), not through these. frame.go remains
+// the canonical description of the layout.
 
 // Frame is one decoded binary-protocol frame.
 type Frame struct {
@@ -36,9 +37,9 @@ var ErrFraming = errFraming
 
 // ReadFrame reads one complete frame, payload included. maxPayload <= 0
 // means unbounded; an oversized payload returns an ErrFraming-wrapped
-// error (the caller should close the connection — unlike a Server,
-// which skips the payload and keeps the session alive, a relay has no
-// session to preserve).
+// error with the payload unread, so the caller should close the
+// connection. (A Front instead skips the payload, answers that one
+// request with ErrRequestTooLarge, and keeps every session alive.)
 func ReadFrame(br *bufio.Reader, maxPayload int) (Frame, error) {
 	h, err := readFrameHeader(br)
 	if err != nil {

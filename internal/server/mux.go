@@ -146,10 +146,13 @@ func (s *MuxSession) SID() uint32 { return s.sid }
 
 func (s *MuxSession) call(req *Request) (*Response, error) {
 	call := s.Go(req)
-	return s.await(call)
+	return s.Await(call)
 }
 
-func (s *MuxSession) await(call *Call) (*Response, error) {
+// Await is call.Wait under the mux's RequestTimeout: how a caller that
+// pipelined with Go settles a call with the same timeout contract a
+// synchronous Call has.
+func (s *MuxSession) Await(call *Call) (*Response, error) {
 	if s.m.opts.RequestTimeout <= 0 {
 		return call.Wait()
 	}
@@ -194,6 +197,6 @@ func (s *MuxSession) Close() error {
 	if closed || w == nil || w.broken() {
 		return nil // no live connection: no server state to retire
 	}
-	_, err := s.await(w.sendClose(s.sid))
+	_, err := s.Await(w.sendClose(s.sid))
 	return err
 }

@@ -13,6 +13,17 @@
 // "ODE2" upgrades the connection to length-prefixed binary framing
 // (frame.go) with request IDs, pipelining, and multiplexed sessions —
 // same ops, same JSON payloads, framed instead of line-delimited.
+//
+// The package is one connection layer and two kinds of session. Front
+// (front.go, binary.go) owns everything about a connection — accept and
+// drain, the protocol sniff, both codecs, per-session FIFO, the
+// coalescing writer, limits, idle deadlines, panic isolation, wire
+// counters — and hands each session's requests to a SessionHandler. A
+// Server's handler (this file) dispatches ops against its database; the
+// shard router's (internal/shard) forwards them to the owning shard.
+// Both listen through the same Front, so a client cannot tell the two
+// apart by how the connection behaves.
+//
 // Class definitions — Go functions — cannot travel over the wire; the
 // server binary links the application's classes, exactly as an Ode
 // application links the object manager (§2).
@@ -22,13 +33,10 @@
 package server
 
 import (
-	"bufio"
-	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"net"
-	"sync"
 	"time"
 
 	"ode/internal/core"
@@ -176,17 +184,11 @@ type Options struct {
 	DisableBinary bool
 }
 
-// Server serves one database to many connections.
+// Server serves one database to many connections: a Front whose
+// sessions run ops against the database.
 type Server struct {
-	db   *core.Database
-	opts Options
-	m    *serverMetrics
-
-	mu       sync.Mutex
-	listener net.Listener
-	conns    map[net.Conn]struct{}
-	closed   bool
-	wg       sync.WaitGroup
+	opts  Options
+	front *Front
 }
 
 // New wraps db in a server with default options.
@@ -194,15 +196,11 @@ func New(db *core.Database) *Server { return NewWithOptions(db, Options{}) }
 
 // NewWithOptions wraps db in a server with explicit hardening limits.
 func NewWithOptions(db *core.Database, opts Options) *Server {
-	if opts.MaxRequestBytes <= 0 {
-		opts.MaxRequestBytes = DefaultMaxRequestBytes
-	}
-	return &Server{
-		db:    db,
-		opts:  opts,
-		m:     newServerMetrics(db.Observability()),
-		conns: make(map[net.Conn]struct{}),
-	}
+	s := &Server{opts: opts}
+	s.front = NewFront(db.Observability(), opts, func(proto string, _ ReplyFunc) SessionHandler {
+		return &session{srv: s, db: db, proto: proto}
+	})
+	return s
 }
 
 // Listen starts accepting on addr (e.g. "127.0.0.1:0") and returns the
@@ -212,189 +210,45 @@ func (s *Server) Listen(addr string) (string, error) {
 	if err != nil {
 		return "", fmt.Errorf("server: listen: %w", err)
 	}
-	s.mu.Lock()
-	s.listener = ln
-	s.mu.Unlock()
-	s.wg.Add(1)
-	go s.acceptLoop(ln)
+	go s.front.Serve(ln)
 	return ln.Addr().String(), nil
 }
 
-func (s *Server) acceptLoop(ln net.Listener) {
-	defer s.wg.Done()
-	for {
-		conn, err := ln.Accept()
-		if err != nil {
-			return // listener closed
-		}
-		s.mu.Lock()
-		if s.closed {
-			s.mu.Unlock()
-			conn.Close()
-			return
-		}
-		s.conns[conn] = struct{}{}
-		s.mu.Unlock()
-		s.wg.Add(1)
-		go func() {
-			defer s.wg.Done()
-			s.serve(conn)
-			s.mu.Lock()
-			delete(s.conns, conn)
-			s.mu.Unlock()
-		}()
-	}
-}
-
-// Close stops the listener and shuts connections down. With a
-// DrainTimeout it first gives sessions that long to finish their
-// in-flight response (idle readers are woken by an expired read
-// deadline and exit cleanly); connections still alive after the grace
-// period — and all of them when DrainTimeout is zero — are hard-closed,
-// aborting their open transactions. Close waits for every handler.
-func (s *Server) Close() error {
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		s.wg.Wait()
-		return nil
-	}
-	s.closed = true
-	ln := s.listener
-	conns := make([]net.Conn, 0, len(s.conns))
-	for c := range s.conns {
-		conns = append(conns, c)
-	}
-	s.mu.Unlock()
-
-	var err error
-	if ln != nil {
-		err = ln.Close()
-	}
-	if s.opts.DrainTimeout > 0 {
-		now := time.Now()
-		for _, c := range conns {
-			c.SetReadDeadline(now)
-		}
-		done := make(chan struct{})
-		go func() { s.wg.Wait(); close(done) }()
-		select {
-		case <-done:
-			return err
-		case <-time.After(s.opts.DrainTimeout):
-		}
-	}
-	s.mu.Lock()
-	for c := range s.conns {
-		c.Close()
-	}
-	s.mu.Unlock()
-	s.wg.Wait()
-	return err
-}
+// Close stops the listener and shuts connections down, gracefully when
+// Options.DrainTimeout is set (Front.Close has the details). It waits
+// for every handler.
+func (s *Server) Close() error { return s.front.Close() }
 
 // session is one connection's (or, over binary framing, one sid's)
-// state.
+// state: the SessionHandler that answers every request synchronously.
 type session struct {
-	srv     *Server
-	db      *core.Database
-	tx      *txn.Txn
-	primary string // Options.PrimaryAddr: redirect target for writes on a replica
-	proto   string // negotiated transport, "json" or "binary" (the proto op reports it)
+	srv   *Server
+	db    *core.Database
+	tx    *txn.Txn
+	proto string // negotiated transport, "json" or "binary" (the proto op reports it)
 }
 
-// serve sniffs the protocol for one connection — the first four bytes
-// upgrade to binary framing if they are the ODE2 magic (every JSON
-// request line starts with '{', so the magic cannot collide) — and runs
-// the matching request loop.
-func (s *Server) serve(conn net.Conn) {
-	defer conn.Close()
-	if s.opts.IdleTimeout > 0 {
-		// Cover the handshake sniff itself; the per-protocol loops
-		// re-arm the deadline per request.
-		conn.SetReadDeadline(time.Now().Add(s.opts.IdleTimeout))
+// Handle implements SessionHandler. ExtraOps are sessionless and
+// dispatched before the built-ins.
+func (sess *session) Handle(_ uint64, req *Request) *Response {
+	if fn, ok := sess.srv.opts.ExtraOps[req.Op]; ok {
+		return fn(req)
 	}
-	br := bufio.NewReader(&countingReader{r: conn, c: s.m.bytesIn})
-	enc := json.NewEncoder(&countingWriter{w: conn, c: s.m.bytesOut})
-	if magic, err := br.Peek(len(protoMagic)); err == nil && string(magic) == protoMagic {
-		if s.opts.DisableBinary {
-			enc.Encode(&Response{Error: ErrBinaryDisabled.Error()})
-			return
-		}
-		br.Discard(len(protoMagic))
-		cw := &countingWriter{w: conn, c: s.m.bytesOut}
-		if _, err := cw.Write([]byte(protoMagic)); err != nil {
-			return
-		}
-		s.m.connsBinary.Inc()
-		s.serveBinary(conn, br, cw)
-		return
-	}
-	s.m.connsJSON.Inc()
-	s.serveJSON(conn, br, enc)
+	return sess.handle(req)
 }
 
-// serveJSON runs the newline-delimited JSON request loop. Requests are
-// read a line at a time so the size cap applies before any JSON is
-// parsed.
-func (s *Server) serveJSON(conn net.Conn, br *bufio.Reader, enc *json.Encoder) {
-	sess := &session{srv: s, db: s.db, primary: s.opts.PrimaryAddr, proto: "json"}
-	defer func() {
-		if sess.tx != nil && sess.tx.State() == txn.Active {
-			sess.tx.Abort()
-		}
-	}()
-	sc := bufio.NewScanner(br)
-	// Scanner's effective token limit is max(cap(buf), max), so the
-	// initial buffer must not exceed the configured cap.
-	initial := 4096
-	if initial > s.opts.MaxRequestBytes {
-		initial = s.opts.MaxRequestBytes
+// Drain implements SessionHandler; nothing is ever deferred.
+func (sess *session) Drain() {}
+
+// Abort implements SessionHandler: the open transaction, if any, is
+// rolled back.
+func (sess *session) Abort() bool {
+	open := sess.tx != nil && sess.tx.State() == txn.Active
+	if open {
+		sess.tx.Abort()
 	}
-	sc.Buffer(make([]byte, initial), s.opts.MaxRequestBytes)
-	for {
-		if s.opts.IdleTimeout > 0 {
-			conn.SetReadDeadline(time.Now().Add(s.opts.IdleTimeout))
-		}
-		if !sc.Scan() {
-			if errors.Is(sc.Err(), bufio.ErrTooLong) {
-				// Typed so clients can match it; then hang up — with the
-				// oversized line half-consumed, line framing is gone.
-				s.m.oversized.Inc()
-				enc.Encode(&Response{Error: fmt.Sprintf("%v: exceeds %d bytes", ErrRequestTooLarge, s.opts.MaxRequestBytes)})
-			}
-			return // disconnect, idle deadline, or oversized request
-		}
-		line := bytes.TrimSpace(sc.Bytes())
-		if len(line) == 0 {
-			continue
-		}
-		var req Request
-		if err := json.Unmarshal(line, &req); err != nil {
-			// Can't trust the framing anymore: report and hang up.
-			enc.Encode(&Response{Error: "malformed request: " + err.Error()})
-			return
-		}
-		if h, ok := s.opts.StreamOps[req.Op]; ok {
-			// The handler owns the connection from here. Clear the idle
-			// deadline: a subscriber may legitimately send nothing for
-			// the rest of the connection's life.
-			conn.SetReadDeadline(time.Time{})
-			if err := h(conn, &req); err != nil {
-				enc.Encode(&Response{Error: err.Error()})
-			}
-			return
-		}
-		if fn, ok := s.opts.ExtraOps[req.Op]; ok {
-			if err := enc.Encode(safeExtra(fn, &req)); err != nil {
-				return
-			}
-			continue
-		}
-		if err := enc.Encode(sess.safeHandle(&req)); err != nil {
-			return
-		}
-	}
+	sess.tx = nil
+	return open
 }
 
 func (sess *session) fail(err error) *Response {
@@ -408,40 +262,10 @@ func (sess *session) fail(err error) *Response {
 	if errors.Is(err, txn.ErrAborted) {
 		r.Aborted = true
 	}
-	if sess.primary != "" && errors.Is(err, core.ErrReadOnly) {
-		r.Redirect = sess.primary
+	if sess.srv.opts.PrimaryAddr != "" && errors.Is(err, core.ErrReadOnly) {
+		r.Redirect = sess.srv.opts.PrimaryAddr
 	}
 	return r
-}
-
-// safeExtra isolates an ExtraOps handler panic to the request that
-// caused it, mirroring safeHandle.
-func safeExtra(fn func(*Request) *Response, req *Request) (resp *Response) {
-	defer func() {
-		if r := recover(); r != nil {
-			resp = &Response{Error: fmt.Sprintf("internal error in %q handler: %v", req.Op, r)}
-		}
-	}()
-	return fn(req)
-}
-
-// safeHandle isolates a handler panic (a bad type assertion in an
-// application method, say) to the request that caused it: the open
-// transaction is aborted, the client gets an error response, and the
-// server — and every other session — keeps running.
-func (sess *session) safeHandle(req *Request) (resp *Response) {
-	defer func() {
-		if r := recover(); r != nil {
-			aborted := false
-			if sess.tx != nil && sess.tx.State() == txn.Active {
-				sess.tx.Abort()
-				aborted = true
-			}
-			sess.tx = nil
-			resp = &Response{Error: fmt.Sprintf("internal error in %q handler: %v", req.Op, r), Aborted: aborted}
-		}
-	}()
-	return sess.handle(req)
 }
 
 // handle dispatches one request.
@@ -627,20 +451,9 @@ func (sess *session) handle(req *Request) *Response {
 		return &Response{OK: true, Result: obs.TagIncidents(sess.nodeLabel(), obs.Flight().Snapshot())}
 	case "proto":
 		// Report the transport this very connection negotiated plus the
-		// server's wire counters (ode-inspect -wire). No transaction
+		// front's wire counters (ode-inspect -wire). No transaction
 		// needed.
-		st := ProtoStatus{Protocol: sess.proto}
-		if s := sess.srv; s != nil {
-			st.BinaryEnabled = !s.opts.DisableBinary
-			st.MaxRequestBytes = s.opts.MaxRequestBytes
-			st.ConnsJSON = s.m.connsJSON.Value()
-			st.ConnsBinary = s.m.connsBinary.Value()
-			st.FramesIn = s.m.framesIn.Value()
-			st.FramesOut = s.m.framesOut.Value()
-			st.BytesIn = s.m.bytesIn.Value()
-			st.BytesOut = s.m.bytesOut.Value()
-		}
-		return &Response{OK: true, Result: st}
+		return &Response{OK: true, Result: sess.srv.front.ProtoStatus(sess.proto)}
 	default:
 		return sess.fail(fmt.Errorf("unknown op %q", req.Op))
 	}

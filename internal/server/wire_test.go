@@ -3,10 +3,8 @@ package server
 import (
 	"bufio"
 	"bytes"
-	"encoding/json"
 	"errors"
 	"io"
-	"net"
 	"strings"
 	"sync"
 	"testing"
@@ -162,116 +160,6 @@ func TestProtoOp(t *testing.T) {
 	})
 }
 
-// TestOversizedRequestBinaryKeepsConn: over binary framing an oversized
-// request costs one typed error, not the connection — the frame header
-// still delimits it exactly. (Contrast the JSON protocol, where the
-// same condition closes the connection; harden_test covers that.)
-func TestOversizedRequestBinaryKeepsConn(t *testing.T) {
-	addr, _ := startWireServer(t, Options{MaxRequestBytes: 1024})
-	c, err := DialOptions(addr, ClientOptions{Binary: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-
-	_, err = c.Create("CredCard", &CredCard{Holder: strings.Repeat("x", 2048)})
-	if err == nil {
-		t.Fatal("oversized create succeeded")
-	}
-	if !errors.Is(err, ErrRequestTooLarge) {
-		t.Fatalf("err = %v, want ErrRequestTooLarge", err)
-	}
-	// Same connection still works.
-	if err := c.Begin(); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Commit(); err != nil {
-		t.Fatal(err)
-	}
-	if c.Reconnects() != 0 {
-		t.Fatalf("client redialed %d times; binary oversized must keep the conn", c.Reconnects())
-	}
-}
-
-// TestOversizedRequestJSONTypedError: the JSON path's regression — the
-// client sees the typed error (not a silent disconnect) before the
-// server hangs up.
-func TestOversizedRequestJSONTypedError(t *testing.T) {
-	addr, _ := startWireServer(t, Options{MaxRequestBytes: 1024})
-	c, err := DialOptions(addr, ClientOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	_, err = c.Create("CredCard", &CredCard{Holder: strings.Repeat("x", 2048)})
-	if !errors.Is(err, ErrRequestTooLarge) {
-		t.Fatalf("err = %v, want ErrRequestTooLarge", err)
-	}
-}
-
-// TestMalformedPayloadBinaryKeepsConn drives raw frames: a frame whose
-// payload is not JSON earns a per-request error, and the connection
-// keeps serving.
-func TestMalformedPayloadBinaryKeepsConn(t *testing.T) {
-	addr, _ := startWireServer(t, Options{})
-	conn, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	conn.SetDeadline(time.Now().Add(5 * time.Second))
-	if _, err := conn.Write([]byte(protoMagic)); err != nil {
-		t.Fatal(err)
-	}
-	br := bufio.NewReader(conn)
-	echo := make([]byte, len(protoMagic))
-	if _, err := io.ReadFull(br, echo); err != nil || string(echo) != protoMagic {
-		t.Fatalf("handshake echo = %q, %v", echo, err)
-	}
-
-	readResp := func() (frameHeader, Response) {
-		t.Helper()
-		h, err := readFrameHeader(br)
-		if err != nil {
-			t.Fatal(err)
-		}
-		payload := make([]byte, h.n)
-		if _, err := io.ReadFull(br, payload); err != nil {
-			t.Fatal(err)
-		}
-		var resp Response
-		if err := json.Unmarshal(payload, &resp); err != nil {
-			t.Fatal(err)
-		}
-		return h, resp
-	}
-
-	if err := writeFrame(conn, frameReq, 1, 7, []byte("not json")); err != nil {
-		t.Fatal(err)
-	}
-	h, resp := readResp()
-	if h.id != 7 || resp.OK || !strings.Contains(resp.Error, "malformed request") {
-		t.Fatalf("frame id=%d resp=%+v", h.id, resp)
-	}
-
-	// The connection survived: a well-formed request on it succeeds.
-	if err := writeFrame(conn, frameReq, 1, 8, []byte(`{"op":"proto"}`)); err != nil {
-		t.Fatal(err)
-	}
-	h, resp = readResp()
-	if h.id != 8 || !resp.OK {
-		t.Fatalf("follow-up frame id=%d resp=%+v", h.id, resp)
-	}
-
-	// Closing an unknown sid is acknowledged, idempotently.
-	if err := writeFrame(conn, frameClose, 99, 9, nil); err != nil {
-		t.Fatal(err)
-	}
-	if h, resp = readResp(); h.id != 9 || !resp.OK {
-		t.Fatalf("close unknown sid: id=%d resp=%+v", h.id, resp)
-	}
-}
-
 // TestBinaryDisabled: -protocol json servers refuse the handshake with
 // a typed error instead of hanging the client; JSON clients are
 // untouched.
@@ -285,32 +173,6 @@ func TestBinaryDisabled(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	if err := c.Begin(); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Commit(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestStreamOpOverBinaryRejected: stream ops own the raw connection and
-// cannot nest inside frames; the server says so with a typed error and
-// the connection survives.
-func TestStreamOpOverBinaryRejected(t *testing.T) {
-	addr, _ := startWireServer(t, Options{
-		StreamOps: map[string]StreamHandler{
-			"x.stream": func(conn net.Conn, req *Request) error { return nil },
-		},
-	})
-	c, err := DialOptions(addr, ClientOptions{Binary: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	_, err = c.Call(&Request{Op: "x.stream"})
-	if err == nil || !strings.Contains(err.Error(), ErrStreamOverBinary.Error()) {
-		t.Fatalf("stream over binary = %v, want %v", err, ErrStreamOverBinary)
-	}
 	if err := c.Begin(); err != nil {
 		t.Fatal(err)
 	}
@@ -487,9 +349,11 @@ func TestBuiltinOpsComplete(t *testing.T) {
 	}
 }
 
-// FuzzFrameDecode feeds arbitrary bytes through the frame decoder the
-// way serveBinary consumes them: truncated, oversized, and garbage
-// length prefixes must surface as typed errors, never panics or hangs.
+// FuzzFrameDecode feeds arbitrary bytes through readFrame, the reader
+// every front (server and router alike) consumes frames with: truncated,
+// oversized, and garbage length prefixes must surface as typed errors,
+// never panics or hangs, and an oversized payload must leave the stream
+// in step.
 func FuzzFrameDecode(f *testing.F) {
 	var seed bytes.Buffer
 	writeFrame(&seed, frameReq, 1, 1, []byte(`{"op":"proto"}`))
@@ -500,24 +364,28 @@ func FuzzFrameDecode(f *testing.F) {
 	f.Add([]byte{0, 0, 0, 13, 9, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		const maxPayload = 1 << 16
-		br := bufio.NewReader(bytes.NewReader(data))
-		for {
-			h, err := readFrameHeader(br)
-			if err != nil {
-				if errors.Is(err, errFraming) || err == io.EOF || errors.Is(err, io.ErrUnexpectedEOF) {
-					return
+		src := bytes.NewReader(data)
+		br := bufio.NewReader(src)
+		for want := 0; ; {
+			h, payload, err := readFrame(br, maxPayload)
+			switch {
+			case err == nil:
+				if len(payload) != h.n {
+					t.Fatalf("payload %d bytes, header says %d", len(payload), h.n)
 				}
+			case err == ErrRequestTooLarge:
+				if h.n <= maxPayload || payload != nil {
+					t.Fatalf("oversize verdict on %d bytes (cap %d), payload %d", h.n, maxPayload, len(payload))
+				}
+			case errors.Is(err, errFraming) || err == io.EOF || errors.Is(err, io.ErrUnexpectedEOF):
+				return
+			default:
 				t.Fatalf("untyped decode error: %v", err)
 			}
-			if h.n > maxPayload {
-				if _, err := io.CopyN(io.Discard, br, int64(h.n)); err != nil {
-					return
-				}
-				continue
-			}
-			payload := make([]byte, h.n)
-			if _, err := io.ReadFull(br, payload); err != nil {
-				return
+			// In step: exactly the frames' bytes are gone, skipped or not.
+			want += 4 + frameHeaderLen + h.n
+			if got := len(data) - src.Len() - br.Buffered(); got != want {
+				t.Fatalf("consumed %d bytes, frames so far span %d", got, want)
 			}
 		}
 	})

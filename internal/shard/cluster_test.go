@@ -15,9 +15,10 @@ import (
 func storageOID(oid uint64) storage.OID { return storage.OID(oid) }
 
 // Doc is the cross-shard test class: "Pair" is a `,`-sequence composite
-// whose first half typically arrives from another shard, and "Chain" is
-// a trigger whose action posts a user event to an arbitrary (possibly
-// remote) object — the shard-A-fires-first half of the headline test.
+// whose first half typically arrives from another shard, "Chain" is a
+// trigger whose action posts a user event to an arbitrary (possibly
+// remote) object — the shard-A-fires-first half of the headline test —
+// and "Veto" taborts the transaction that Pokes its anchor.
 type Doc struct {
 	Audits int
 	Next   uint64 // Chain posts First here when it fires
@@ -38,6 +39,11 @@ func docClass() *core.Class {
 			func(ctx *core.Ctx, self any, act *core.Activation) error {
 				_, err := ctx.Invoke(ctx.Self(), "Bump")
 				return err
+			}),
+		core.Trigger("Veto", "after Poke",
+			func(ctx *core.Ctx, self any, act *core.Activation) error {
+				ctx.TAbort()
+				return nil
 			}),
 		core.Trigger("Chain", "Kick",
 			func(ctx *core.Ctx, self any, act *core.Activation) error {
@@ -66,6 +72,8 @@ type testCluster struct {
 	addrs  []string
 	router *Router
 	raddr  string
+
+	maxRequest int // the router's MaxRequestBytes across restarts
 }
 
 // clusterConfig tweaks startCluster for the chaos tests.
@@ -78,6 +86,11 @@ type clusterConfig struct {
 	fwdAddrs func(addrs []string) []string
 	// noRouter skips the router (shard-direct tests).
 	noRouter bool
+	// maxRequest, when set, is every front's MaxRequestBytes (shards and
+	// router alike).
+	maxRequest int
+	// streamOps, when set, is registered on every shard server.
+	streamOps map[string]server.StreamHandler
 }
 
 // startCluster boots n shard servers (and a router unless told not to),
@@ -85,7 +98,7 @@ type clusterConfig struct {
 func startCluster(t *testing.T, n int, cfg clusterConfig) *testCluster {
 	t.Helper()
 	ring := MustRing(n, 0)
-	c := &testCluster{t: t, ring: ring, addrs: make([]string, n)}
+	c := &testCluster{t: t, ring: ring, addrs: make([]string, n), maxRequest: cfg.maxRequest}
 	for i := 0; i < n; i++ {
 		m := dali.New()
 		m.SetOIDFilter(ring.OIDFilter(i))
@@ -100,7 +113,11 @@ func startCluster(t *testing.T, n int, cfg clusterConfig) *testCluster {
 		if err := db.EnableSharding(ring.OIDFilter(i)); err != nil {
 			t.Fatal(err)
 		}
-		srv := server.NewWithOptions(db, server.Options{ExtraOps: Ops(db, ring, i, c.addrs)})
+		srv := server.NewWithOptions(db, server.Options{
+			ExtraOps:        Ops(db, ring, i, c.addrs),
+			MaxRequestBytes: cfg.maxRequest,
+			StreamOps:       cfg.streamOps,
+		})
 		addr, err := srv.Listen("127.0.0.1:0")
 		if err != nil {
 			t.Fatal(err)
@@ -145,7 +162,7 @@ func (c *testCluster) startRouter() {
 	if c.router != nil {
 		c.router.Close()
 	}
-	rt, err := NewRouter(c.ring, RouterOptions{Addrs: c.addrs})
+	rt, err := NewRouter(c.ring, RouterOptions{Addrs: c.addrs, MaxRequestBytes: c.maxRequest})
 	if err != nil {
 		c.t.Fatal(err)
 	}

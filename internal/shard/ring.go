@@ -7,9 +7,11 @@
 //     filter), so an OID minted anywhere in the cluster is owned by
 //     exactly the shard that minted it — routing never needs a
 //     directory, just the ring.
-//   - Router: a protocol-transparent front (JSON and ODE2 binary) that
-//     routes each request to the owning shard over multiplexed binary
-//     connections, fans out scans, and answers `shard.status`.
+//   - Router: a server.Front — the connection layer every ode-server
+//     listens with, so both protocols, limits and close behaviour are
+//     the server's own — whose sessions route each request to the
+//     owning shard over multiplexed binary connections, relay the
+//     shard's reply verbatim, fan out scans, and answer `shard.status`.
 //   - Forwarder: the cross-shard event channel. A posting addressed to
 //     a remote object is captured into the local shard's transactional
 //     outbox (internal/core); the forwarder drains it in cause-ID

@@ -1,8 +1,6 @@
 package shard
 
 import (
-	"bufio"
-	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -10,7 +8,6 @@ import (
 	"net"
 	"sort"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -18,10 +15,13 @@ import (
 	"ode/internal/server"
 )
 
-// Router terminates both client protocols (newline JSON and ODE2
-// binary) in front of a shard fleet and forwards each op to the shard
-// that owns it. The client-visible contract is the single-server one —
-// same ops, same JSON payloads, same session model — with documented
+// Router fronts a shard fleet with the same connection layer a server
+// listens with (server.Front: both protocols, the same limits, the same
+// oversize/malformed/close handling); only what a session does with a
+// request differs — an rsession forwards each op to the shard that owns
+// it and relays the shard's reply verbatim, aborted and redirect
+// included. The client-visible contract is the single-server one — same
+// ops, same JSON payloads, same session model — with documented
 // deviations (docs/SHARDING.md):
 //
 //   - A transaction that touches several shards commits per shard, in
@@ -42,6 +42,7 @@ type Router struct {
 	opts  RouterOptions
 	muxes []*server.Mux
 	reg   *obs.Registry
+	front *server.Front
 	rr    atomic.Uint64
 
 	requests *obs.Counter
@@ -52,12 +53,6 @@ type Router struct {
 	routeNs   *obs.Histogram
 	forwardNs *obs.Histogram
 	mergeNs   *obs.Histogram
-
-	mu     sync.Mutex
-	ln     net.Listener
-	conns  map[net.Conn]struct{}
-	closed bool
-	wg     sync.WaitGroup
 }
 
 // RouterOptions configures NewRouter.
@@ -90,27 +85,31 @@ func NewRouter(ring *Ring, opts RouterOptions) (*Router, error) {
 	if len(opts.Addrs) != ring.Shards() {
 		return nil, fmt.Errorf("shard: %d addrs for %d shards", len(opts.Addrs), ring.Shards())
 	}
-	if opts.MaxRequestBytes <= 0 {
-		opts.MaxRequestBytes = server.DefaultMaxRequestBytes
-	}
 	if opts.StreamShard < 0 || opts.StreamShard >= ring.Shards() {
 		return nil, fmt.Errorf("shard: stream shard %d out of range", opts.StreamShard)
 	}
 	if opts.DialTimeout <= 0 {
 		opts.DialTimeout = 5 * time.Second
 	}
-	rt := &Router{
-		ring:  ring,
-		opts:  opts,
-		reg:   obs.NewRegistry(),
-		conns: make(map[net.Conn]struct{}),
-	}
+	rt := &Router{ring: ring, opts: opts, reg: obs.NewRegistry()}
+	rt.front = server.NewFront(rt.reg, server.Options{
+		MaxRequestBytes: opts.MaxRequestBytes,
+		StreamOps:       map[string]server.StreamHandler{"repl.subscribe": rt.splice, "repl.recon": rt.splice},
+	}, func(proto string, reply server.ReplyFunc) server.SessionHandler {
+		return &rsession{
+			rt:       rt,
+			proto:    proto,
+			reply:    reply,
+			backends: make(map[int]*server.MuxSession),
+			touched:  make(map[int]struct{}),
+		}
+	})
 	rt.requests = rt.reg.Counter("shard.route_requests", "count", "client requests routed to a shard")
 	rt.fanouts = rt.reg.Counter("shard.route_fanouts", "count", "requests fanned out to every shard")
 	rt.rejects = rt.reg.Counter("shard.route_rejects", "count", "requests rejected at the router (typed error)")
 	rt.streams = rt.reg.Counter("shard.route_streams", "count", "stream connections spliced to a shard")
 	rt.routeNs = rt.reg.Histogram("router.route_ns", "ns", "time to classify a request and ready its backend (lazy transaction join included)")
-	rt.forwardNs = rt.reg.Histogram("router.forward_ns", "ns", "backend round-trip time per synchronously forwarded call (pipelined binary batches are not individually timed)")
+	rt.forwardNs = rt.reg.Histogram("router.forward_ns", "ns", "time from issuing a forwarded call to settling its response (a pipelined batch settles together)")
 	rt.mergeNs = rt.reg.Histogram("router.merge_ns", "ns", "time to merge a fan-out's responses into the fleet view")
 	rt.muxes = make([]*server.Mux, ring.Shards())
 	for i, addr := range opts.Addrs {
@@ -126,68 +125,21 @@ func NewRouter(ring *Ring, opts RouterOptions) (*Router, error) {
 	return rt, nil
 }
 
-// Observability exposes the router's metric registry (shard.route_*).
+// Observability exposes the router's metric registry: shard.route_*,
+// router.*, and its front's server.* wire counters.
 func (rt *Router) Observability() *obs.Registry { return rt.reg }
 
 // Serve accepts front connections on ln until Close. It blocks.
-func (rt *Router) Serve(ln net.Listener) error {
-	rt.mu.Lock()
-	if rt.closed {
-		rt.mu.Unlock()
-		return errors.New("shard: router closed")
-	}
-	rt.ln = ln
-	rt.mu.Unlock()
-	for {
-		conn, err := ln.Accept()
-		if err != nil {
-			rt.mu.Lock()
-			closed := rt.closed
-			rt.mu.Unlock()
-			if closed {
-				return nil
-			}
-			return err
-		}
-		rt.mu.Lock()
-		rt.conns[conn] = struct{}{}
-		rt.mu.Unlock()
-		rt.wg.Add(1)
-		go func() {
-			defer rt.wg.Done()
-			defer func() {
-				rt.mu.Lock()
-				delete(rt.conns, conn)
-				rt.mu.Unlock()
-				conn.Close()
-			}()
-			rt.serveConn(conn)
-		}()
-	}
-}
+func (rt *Router) Serve(ln net.Listener) error { return rt.front.Serve(ln) }
 
 // Close stops accepting, hangs up every front connection, and closes
 // the backend muxes (which aborts any open backend transactions).
 func (rt *Router) Close() error {
-	rt.mu.Lock()
-	if rt.closed {
-		rt.mu.Unlock()
-		return nil
-	}
-	rt.closed = true
-	ln := rt.ln
-	for c := range rt.conns {
-		c.Close()
-	}
-	rt.mu.Unlock()
-	if ln != nil {
-		ln.Close()
-	}
-	rt.wg.Wait()
+	err := rt.front.Close()
 	for _, m := range rt.muxes {
 		m.Close()
 	}
-	return nil
+	return err
 }
 
 // --- routing decisions --------------------------------------------------------
@@ -247,34 +199,54 @@ func routeOf(ring *Ring, req *server.Request) Route {
 
 // --- per-session dispatch -----------------------------------------------------
 
-// rsession is one front session's routing state: which backend
-// MuxSessions it holds and which of them have an open transaction. Not
-// safe for concurrent use; the binary front serializes per sid.
+// rsession is one front session's routing state — the router's
+// server.SessionHandler: which backend MuxSessions it holds, which of
+// them have an open transaction, and the forwarded calls still in
+// flight. Not safe for concurrent use; the front serializes per session.
 type rsession struct {
 	rt       *Router
 	proto    string // "json" | "binary"
+	reply    server.ReplyFunc
 	backends map[int]*server.MuxSession
 	touched  map[int]struct{} // backends holding an open transaction
 	inTx     bool
 	snapshot bool
+	pending  []pend
 }
 
-func (rt *Router) newSession(proto string) *rsession {
-	return &rsession{
-		rt:       rt,
-		proto:    proto,
-		backends: make(map[int]*server.MuxSession),
-		touched:  make(map[int]struct{}),
-	}
+// pend is one forwarded call awaiting its backend response.
+type pend struct {
+	id   uint64
+	dest int
+	call *server.Call
+	t0   time.Time
 }
 
-// close retires every backend session (aborting their transactions).
-func (s *rsession) close() {
+// forwardWindow caps how many forwarded calls one session keeps in
+// flight before settling them — a memory bound, not a pacing knob (the
+// batch normally settles when the session's queue runs dry).
+const forwardWindow = 64
+
+// Abort implements server.SessionHandler: settle what is in flight,
+// retire every backend session (aborting their transactions), and
+// start over empty.
+func (s *rsession) Abort() bool {
+	s.Drain()
 	for _, b := range s.backends {
 		b.Close()
 	}
-	s.backends = nil
-	s.touched = nil
+	clear(s.backends)
+	open := s.inTx
+	s.endTx()
+	return open
+}
+
+// endTx forgets the front transaction once every joined backend has
+// resolved its part.
+func (s *rsession) endTx() {
+	clear(s.touched)
+	s.inTx = false
+	s.snapshot = false
 }
 
 // backend returns (lazily creating) the session's MuxSession on shard d.
@@ -285,6 +257,22 @@ func (s *rsession) backend(d int) *server.MuxSession {
 	b := s.rt.muxes[d].Session()
 	s.backends[d] = b
 	return b
+}
+
+// settle turns a backend call's outcome into the response to relay: the
+// shard's own reply whenever one arrived — error text, aborted and
+// redirect verbatim — and a synthesized error only for a transport
+// failure. When shard d reports its transaction rolled back (tabort,
+// deadlock victim) the whole front transaction is over, so the other
+// joined shards are aborted too: the single-server contract.
+func (s *rsession) settle(d int, resp *server.Response, err error) *server.Response {
+	if resp == nil {
+		return &server.Response{Error: err.Error()}
+	}
+	if resp.Aborted {
+		s.abortTouched(d)
+	}
+	return resp
 }
 
 // enter readies shard d for an op: if the front session has an open
@@ -301,71 +289,78 @@ func (s *rsession) enter(d int) (*server.MuxSession, *server.Response) {
 		return b, nil
 	}
 	resp, err := b.Call(&server.Request{Op: "begin", Snapshot: s.snapshot})
-	if err != nil {
-		return nil, &server.Response{Error: err.Error()}
-	}
-	if !resp.OK {
+	if resp = s.settle(d, resp, err); !resp.OK {
 		return nil, resp
 	}
 	s.touched[d] = struct{}{}
 	return b, nil
 }
 
-// handle dispatches one non-stream request and returns its response.
-func (s *rsession) handle(req *server.Request) *server.Response {
+// Handle implements server.SessionHandler. Single-shard ops are
+// forwarded pipelined: issued to their backend without waiting and
+// settled by Drain when the session's queue runs dry (or a transaction
+// boundary arrives), so the router adds no round trip of its own per op
+// a pipelining client already queued. The backend's per-session FIFO
+// keeps a batch ordered, so replies settling as a batch are
+// indistinguishable from lockstep to the client. Everything else is
+// answered on the spot.
+func (s *rsession) Handle(id uint64, req *server.Request) *server.Response {
 	rt := s.rt
 	r := routeOf(rt.ring, req)
+	if r.Kind != routeOne && r.Kind != routeCreate {
+		// Transaction boundaries, fan-outs, local ops, and typed refusals
+		// observe every forwarded response first.
+		s.Drain()
+	}
+	d := r.Dest
 	switch r.Kind {
-	case routeReject:
-		rt.rejects.Add(1)
-		return &server.Response{Error: r.Err.Error()}
-	case routeStream:
-		// Reached only on the binary front (the JSON loop splices
-		// stream ops before dispatch) — same refusal as a server.
-		rt.rejects.Add(1)
-		return &server.Response{Error: server.ErrStreamOverBinary.Error()}
 	case routeLocal:
 		return s.handleLocal(req)
-	case routeCreate:
-		rt.requests.Add(1)
-		d := int(rt.rr.Add(1)) % rt.ring.Shards()
-		return s.forward(d, req)
-	case routeOne:
-		rt.requests.Add(1)
-		d := r.Dest
-		if d < 0 {
-			d = rt.opts.StreamShard // repl.* admin ops
-		}
-		return s.forward(d, req)
 	case routeAll:
 		rt.fanouts.Add(1)
 		return s.fanout(req)
+	case routeReject:
+		rt.rejects.Add(1)
+		return &server.Response{Error: r.Err.Error()}
+	case routeCreate:
+		d = int(rt.rr.Add(1)) % rt.ring.Shards()
+	case routeOne:
+		if d < 0 {
+			d = rt.opts.StreamShard // repl.* admin ops
+		}
+	default:
+		// routeStream never gets here: the front splices stream ops on
+		// JSON and refuses them on binary before any session sees them.
+		rt.rejects.Add(1)
+		return &server.Response{Error: fmt.Sprintf("shard: unroutable op %q", req.Op)}
 	}
-	rt.rejects.Add(1)
-	return &server.Response{Error: fmt.Sprintf("shard: unroutable op %q", req.Op)}
-}
-
-// forward sends req to shard d inside the session's transaction.
-func (s *rsession) forward(d int, req *server.Request) *server.Response {
+	rt.requests.Add(1)
 	t0 := time.Now()
 	b, failed := s.enter(d)
-	s.rt.routeNs.Observe(time.Since(t0).Nanoseconds())
+	t1 := time.Now()
+	rt.routeNs.Observe(t1.Sub(t0).Nanoseconds())
 	if failed != nil {
+		s.Drain()
 		return failed
 	}
-	t1 := time.Now()
-	resp, err := b.Call(req)
-	s.rt.forwardNs.Observe(time.Since(t1).Nanoseconds())
-	if err != nil {
-		return &server.Response{Error: err.Error()}
+	s.pending = append(s.pending, pend{id: id, dest: d, call: b.Go(req), t0: t1})
+	if len(s.pending) >= forwardWindow {
+		s.Drain()
 	}
-	if resp.Aborted {
-		// The backend rolled the transaction back (tabort, deadlock).
-		// Mirror the single-server contract: the whole front
-		// transaction is over, so abort the other joined shards too.
-		s.abortTouched(d)
+	return nil
+}
+
+// Drain implements server.SessionHandler: wait for every forwarded call
+// and relay its response. Ops in flight behind one whose backend rolled
+// the transaction back fail at their backends ("no open transaction"),
+// exactly as a pipelining client of a single server would see.
+func (s *rsession) Drain() {
+	for _, p := range s.pending {
+		resp, err := s.backends[p.dest].Await(p.call)
+		s.rt.forwardNs.Observe(time.Since(p.t0).Nanoseconds())
+		s.reply(p.id, s.settle(p.dest, resp, err))
 	}
-	return resp
+	s.pending = s.pending[:0]
 }
 
 // abortTouched aborts every joined backend except skip (already
@@ -377,9 +372,7 @@ func (s *rsession) abortTouched(skip int) {
 		}
 		s.backends[d].Call(&server.Request{Op: "abort"})
 	}
-	s.touched = make(map[int]struct{})
-	s.inTx = false
-	s.snapshot = false
+	s.endTx()
 }
 
 // fanout sends req to every shard and merges the responses. scan joins
@@ -404,10 +397,7 @@ func (s *rsession) fanoutScan(req *server.Request) *server.Response {
 		t0 := time.Now()
 		resp, err := b.Call(req)
 		s.rt.forwardNs.Observe(time.Since(t0).Nanoseconds())
-		if err != nil {
-			return &server.Response{Error: err.Error()}
-		}
-		if !resp.OK {
+		if resp = s.settle(d, resp, err); !resp.OK {
 			return resp
 		}
 		refs = append(refs, resp.Refs...)
@@ -436,10 +426,7 @@ func (s *rsession) fanoutObs(req *server.Request) *server.Response {
 		t0 := time.Now()
 		resp, err := s.backend(d).Call(&breq)
 		rt.forwardNs.Observe(time.Since(t0).Nanoseconds())
-		if err != nil {
-			return &server.Response{Error: fmt.Sprintf("shard %d: %v", d, err)}
-		}
-		if !resp.OK {
+		if resp = s.settle(d, resp, err); !resp.OK {
 			return &server.Response{Error: fmt.Sprintf("shard %d: %s", d, resp.Error)}
 		}
 		calls[d] = resp
@@ -600,254 +587,49 @@ func (s *rsession) handleLocal(req *server.Request) *server.Response {
 			dests = append(dests, d)
 		}
 		sort.Ints(dests) // deterministic commit order (docs/SHARDING.md)
+		// The front transaction ends here whatever the shards answer, so
+		// a commit-time rollback on one shard has nothing left to abort
+		// on the others: each resolves its own part below.
+		s.endTx()
 		var errs []string
 		aborted := false
 		for _, d := range dests {
 			resp, err := s.backends[d].Call(&server.Request{Op: req.Op})
-			switch {
-			case err != nil:
-				errs = append(errs, fmt.Sprintf("shard %d: %v", d, err))
-			case !resp.OK:
+			if resp = s.settle(d, resp, err); !resp.OK {
 				errs = append(errs, fmt.Sprintf("shard %d: %s", d, resp.Error))
 				aborted = aborted || resp.Aborted
 			}
 		}
-		s.touched = make(map[int]struct{})
-		s.inTx = false
-		s.snapshot = false
 		if len(errs) > 0 {
 			return &server.Response{Error: strings.Join(errs, "; "), Aborted: aborted}
 		}
 		return &server.Response{OK: true}
 	case "proto":
-		st := server.ProtoStatus{
-			Protocol:        s.proto,
-			BinaryEnabled:   true,
-			MaxRequestBytes: s.rt.opts.MaxRequestBytes,
-		}
-		return &server.Response{OK: true, Result: st}
+		return &server.Response{OK: true, Result: s.rt.front.ProtoStatus(s.proto)}
 	}
 	return &server.Response{Error: fmt.Sprintf("shard: unroutable local op %q", req.Op)}
 }
 
-// --- front protocol loops -----------------------------------------------------
+// --- stream ops --------------------------------------------------------------
 
-// serveConn sniffs the protocol (the same 4-byte upgrade a server
-// does) and runs the matching loop.
-func (rt *Router) serveConn(conn net.Conn) {
-	br := bufio.NewReader(conn)
-	magic, err := br.Peek(len(server.ProtoMagic))
-	if err == nil && string(magic) == server.ProtoMagic {
-		br.Discard(len(server.ProtoMagic))
-		if _, err := conn.Write([]byte(server.ProtoMagic)); err != nil {
-			return
-		}
-		rt.serveBinary(conn, br)
-		return
-	}
-	rt.serveJSON(conn, br)
-}
-
-// serveJSON runs the newline-JSON loop: one session, one request at a
-// time — the single-server session model.
-func (rt *Router) serveJSON(conn net.Conn, br *bufio.Reader) {
-	sess := rt.newSession("json")
-	defer sess.close()
-	enc := json.NewEncoder(conn)
-	sc := bufio.NewScanner(br)
-	initial := 4096
-	if initial > rt.opts.MaxRequestBytes {
-		initial = rt.opts.MaxRequestBytes
-	}
-	sc.Buffer(make([]byte, initial), rt.opts.MaxRequestBytes)
-	for sc.Scan() {
-		line := bytes.TrimSpace(sc.Bytes())
-		if len(line) == 0 {
-			continue
-		}
-		var req server.Request
-		if err := json.Unmarshal(line, &req); err != nil {
-			enc.Encode(&server.Response{Error: "malformed request: " + err.Error()})
-			return
-		}
-		if routeOf(rt.ring, &req).Kind == routeStream {
-			// The stream handler owns the connection from here on; the
-			// router's part is a dumb byte splice to the stream shard.
-			rt.splice(conn, br, line)
-			return
-		}
-		if err := enc.Encode(sess.handle(&req)); err != nil {
-			return
-		}
-	}
-}
-
-// splice connects the front conn to the stream shard, replays the
-// request line, and copies bytes both ways until either side hangs up.
-func (rt *Router) splice(conn net.Conn, br *bufio.Reader, line []byte) {
+// splice is the router's server.StreamHandler: the stream shard's
+// handler owns the conversation from here on, so the router's part is
+// to connect the front conn to that shard, replay the request line, and
+// copy bytes both ways until either side hangs up.
+func (rt *Router) splice(conn net.Conn, req *server.Request) error {
 	rt.streams.Add(1)
 	back, err := net.DialTimeout("tcp", rt.opts.Addrs[rt.opts.StreamShard], rt.opts.DialTimeout)
 	if err != nil {
-		json.NewEncoder(conn).Encode(&server.Response{Error: fmt.Sprintf("shard: splice to shard %d: %v", rt.opts.StreamShard, err)})
-		return
+		return fmt.Errorf("shard: splice to shard %d: %v", rt.opts.StreamShard, err)
 	}
 	defer back.Close()
-	if _, err := back.Write(append(line, '\n')); err != nil {
-		json.NewEncoder(conn).Encode(&server.Response{Error: err.Error()})
-		return
+	if err := json.NewEncoder(back).Encode(req); err != nil {
+		return err
 	}
-	done := make(chan struct{}, 2)
-	go func() { io.Copy(back, br); back.Close(); done <- struct{}{} }()
+	done := make(chan struct{}, 2) // one send per copier below
+	go func() { io.Copy(back, conn); back.Close(); done <- struct{}{} }()
 	go func() { io.Copy(conn, back); conn.Close(); done <- struct{}{} }()
 	<-done
 	<-done
-}
-
-// binForwardWindow caps how many forwarded calls one sid keeps in
-// flight before settling them — a memory bound, not a pacing knob (the
-// batch normally settles when the sid's queue runs dry).
-const binForwardWindow = 64
-
-// serveBinary runs the frame loop: one rsession per sid, requests
-// within a sid in order, sids concurrent — the Mux server model.
-func (rt *Router) serveBinary(conn net.Conn, br *bufio.Reader) {
-	var wmu sync.Mutex
-	bw := bufio.NewWriter(conn)
-	reply := func(sid uint32, id uint64, resp *server.Response) {
-		payload, err := json.Marshal(resp)
-		if err != nil {
-			payload, _ = json.Marshal(&server.Response{Error: err.Error()})
-		}
-		wmu.Lock()
-		defer wmu.Unlock()
-		if err := server.WriteFrame(bw, server.Frame{Type: server.FrameResponse, SID: sid, ID: id, Payload: payload}); err == nil {
-			bw.Flush()
-		}
-	}
-
-	type sidState struct {
-		queue chan server.Frame
-	}
-	sids := make(map[uint32]*sidState)
-	var wg sync.WaitGroup
-	defer func() {
-		for _, st := range sids {
-			close(st.queue)
-		}
-		wg.Wait()
-	}()
-
-	// runSid forwards pipelined: consecutive single-shard ops already
-	// queued by a pipelining client are issued to their backends via Go
-	// and settled when the queue runs dry (or a transaction boundary
-	// arrives), so the router adds no round trip of its own per op. The
-	// backend's per-session FIFO keeps a batch ordered, and responses
-	// are matched by frame ID, so replies settling as a batch are
-	// indistinguishable from lockstep to the client.
-	runSid := func(st *sidState) {
-		defer wg.Done()
-		sess := rt.newSession("binary")
-		defer sess.close()
-		type pend struct {
-			sid  uint32
-			id   uint64
-			dest int
-			call *server.Call
-		}
-		var pending []pend
-		flush := func() {
-			for _, p := range pending {
-				resp, err := p.call.Wait()
-				if err != nil {
-					resp = &server.Response{Error: err.Error()}
-				} else if resp.Aborted {
-					// The backend rolled the transaction back; mirror
-					// forward()'s contract. Ops already in flight behind
-					// this one fail at their backends ("no open
-					// transaction"), exactly as a pipelining client of a
-					// single server would see.
-					sess.abortTouched(p.dest)
-				}
-				reply(p.sid, p.id, resp)
-			}
-			pending = pending[:0]
-		}
-		handle := func(f server.Frame) {
-			if f.Type == server.FrameClose {
-				flush()
-				sess.close()
-				sess = rt.newSession("binary") // a reused sid starts fresh
-				reply(f.SID, f.ID, &server.Response{OK: true})
-				return
-			}
-			req := new(server.Request)
-			if err := json.Unmarshal(f.Payload, req); err != nil {
-				reply(f.SID, f.ID, &server.Response{Error: "malformed request: " + err.Error()})
-				return
-			}
-			switch r := routeOf(rt.ring, req); r.Kind {
-			case routeOne, routeCreate:
-				d := r.Dest
-				if r.Kind == routeCreate {
-					d = int(rt.rr.Add(1)) % rt.ring.Shards()
-				} else if d < 0 {
-					d = rt.opts.StreamShard // repl.* admin ops
-				}
-				rt.requests.Add(1)
-				t0 := time.Now()
-				b, failed := sess.enter(d)
-				rt.routeNs.Observe(time.Since(t0).Nanoseconds())
-				if failed != nil {
-					reply(f.SID, f.ID, failed)
-					return
-				}
-				pending = append(pending, pend{sid: f.SID, id: f.ID, dest: d, call: b.Go(req)})
-				if len(pending) >= binForwardWindow {
-					flush()
-				}
-			default:
-				// Transaction boundaries, fan-outs, local ops, and typed
-				// refusals observe every forwarded response first.
-				flush()
-				reply(f.SID, f.ID, sess.handle(req))
-			}
-		}
-		for {
-			var f server.Frame
-			var ok bool
-			if len(pending) > 0 {
-				select {
-				case f, ok = <-st.queue:
-				default:
-					flush() // queue ran dry: settle the batch
-					f, ok = <-st.queue
-				}
-			} else {
-				f, ok = <-st.queue
-			}
-			if !ok {
-				flush()
-				return
-			}
-			handle(f)
-		}
-	}
-
-	for {
-		f, err := server.ReadFrame(br, rt.opts.MaxRequestBytes)
-		if err != nil {
-			return // disconnect or framing error: hang up, sids drain via defer
-		}
-		if f.Type != server.FrameRequest && f.Type != server.FrameClose {
-			return // protocol violation
-		}
-		st, ok := sids[f.SID]
-		if !ok {
-			st = &sidState{queue: make(chan server.Frame, 256)}
-			sids[f.SID] = st
-			wg.Add(1)
-			go runSid(st)
-		}
-		st.queue <- f
-	}
+	return nil
 }

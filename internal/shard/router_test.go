@@ -338,8 +338,8 @@ func TestRouterTriggerOps(t *testing.T) {
 	}
 }
 
-// TestRouterProtoAndMetrics: proto reports the front protocol; metrics
-// reports the router's own registry.
+// TestRouterProtoAndMetrics: proto reports the front protocol and the
+// front's wire counters; metrics reports the router's own registry.
 func TestRouterProtoAndMetrics(t *testing.T) {
 	c := startCluster(t, 2, clusterConfig{})
 	cl, err := server.Dial(c.raddr)
@@ -358,6 +358,27 @@ func TestRouterProtoAndMetrics(t *testing.T) {
 	if !strings.Contains(string(raw), `"protocol":"json"`) {
 		t.Fatalf("proto through router: %s", raw)
 	}
+
+	// The wire counters are the front's own, not zeros filled in by
+	// hand: a binary request moves frames_in and friends.
+	bin, err := server.DialOptions(c.raddr, server.ClientOptions{Binary: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer bin.Close()
+	for i := 0; i < 2; i++ { // the second answer counts the first's response frame
+		if resp, err = bin.Call(&server.Request{Op: "proto"}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	st := decodeResult[server.ProtoStatus](t, resp.Result)
+	if st.Protocol != "binary" || !st.BinaryEnabled || st.MaxRequestBytes != server.DefaultMaxRequestBytes {
+		t.Fatalf("proto over binary through router: %+v", st)
+	}
+	if st.ConnsJSON == 0 || st.ConnsBinary == 0 || st.FramesIn == 0 || st.FramesOut == 0 || st.BytesIn == 0 || st.BytesOut == 0 {
+		t.Fatalf("router wire counters did not move: %+v", st)
+	}
+
 	resp, err = cl.Call(&server.Request{Op: "metrics"})
 	if err != nil {
 		t.Fatal(err)
