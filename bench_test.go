@@ -1,18 +1,15 @@
 // Package-level benchmarks: one testing.B entry per reproduction
-// experiment (E1–E16; see DESIGN.md §4 and EXPERIMENTS.md). The paper has
-// no numeric tables, so each benchmark regenerates the measurable side of
-// one of its claims; cmd/ode-bench prints the full paper-shaped tables
-// with baselines side by side.
+// experiment (E1–E15, E18, E19; see DESIGN.md §4 and EXPERIMENTS.md). The
+// paper has no numeric tables, so each benchmark regenerates the
+// measurable side of one of its claims; cmd/ode-bench prints the full
+// paper-shaped tables with baselines side by side. End-to-end and
+// per-layer performance is the bench/ ledger's (BENCHMARK.json).
 package ode_test
 
 import (
-	"encoding/json"
 	"fmt"
 	"math/rand"
-	"os"
 	"path/filepath"
-	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -21,103 +18,12 @@ import (
 	"ode/internal/baseline/sentinel"
 	"ode/internal/event"
 	"ode/internal/eventexpr"
-	"ode/internal/experiments"
 	"ode/internal/fsm"
-	"ode/internal/obs"
 	"ode/internal/repl"
 	"ode/internal/server"
-	"ode/internal/storage"
-	"ode/internal/storage/dali"
 	"ode/internal/storage/eos"
 	"ode/internal/workload"
 )
-
-// --- machine-readable benchmark output (BENCH_mvcc.json) ---------------------
-
-// benchRecords accumulates throughput numbers from the benchmarks that
-// feed BENCH_mvcc.json (E16 group commit, E21 snapshot reads). When
-// ODE_BENCH_OUT names a file, TestMain dumps them as JSON after the run;
-// CI's bench-regression step diffs the machine-independent ratio keys
-// against the committed baseline.
-var (
-	benchRecMu   sync.Mutex
-	benchRecords = map[string]map[string]float64{}
-)
-
-func recordBench(section, key string, v float64) {
-	benchRecMu.Lock()
-	defer benchRecMu.Unlock()
-	s := benchRecords[section]
-	if s == nil {
-		s = map[string]float64{}
-		benchRecords[section] = s
-	}
-	s[key] = v
-}
-
-func TestMain(m *testing.M) {
-	code := m.Run()
-	writeBenchOut()
-	os.Exit(code)
-}
-
-func writeBenchOut() {
-	path := os.Getenv("ODE_BENCH_OUT")
-	if path == "" {
-		return
-	}
-	benchRecMu.Lock()
-	defer benchRecMu.Unlock()
-	if len(benchRecords) == 0 {
-		return
-	}
-	// Derive the machine-independent ratios the regression gate compares:
-	// absolute q/s varies with hardware, snapshot/baseline does not.
-	if e23 := benchRecords["e23_wire"]; e23 != nil {
-		for _, link := range []string{"loopback", "rtt1ms"} {
-			base := e23["postings_per_sec/"+link+"/json"]
-			for _, mode := range []string{"binary", "mux"} {
-				if v := e23[fmt.Sprintf("postings_per_sec/%s/%s", link, mode)]; base > 0 && v > 0 {
-					e23[fmt.Sprintf("ratio/%s/%s", link, mode)] = v / base
-				}
-			}
-		}
-	}
-	if e24 := benchRecords["e24_shard"]; e24 != nil {
-		base := e24["postings_per_sec/shards=1"]
-		for _, shards := range experiments.E24ShardGrid {
-			if shards == 1 {
-				continue
-			}
-			if v := e24[fmt.Sprintf("postings_per_sec/shards=%d", shards)]; base > 0 && v > 0 {
-				e24[fmt.Sprintf("ratio/shards=%d", shards)] = v / base
-			}
-		}
-	}
-	if e25 := benchRecords["e25_fleetobs"]; e25 != nil {
-		base := e25["postings_per_sec/untraced"]
-		if v := e25["postings_per_sec/traced"]; base > 0 && v > 0 {
-			e25["ratio/traced"] = v / base
-		}
-	}
-	if e21 := benchRecords["e21_snapshot_reads"]; e21 != nil {
-		for _, readers := range e21ReaderGrid {
-			base := e21[fmt.Sprintf("baseline/readers=%d", readers)]
-			snap := e21[fmt.Sprintf("snapshot/readers=%d", readers)]
-			if base > 0 && snap > 0 {
-				e21[fmt.Sprintf("ratio/readers=%d", readers)] = snap / base
-			}
-		}
-	}
-	raw, err := json.MarshalIndent(benchRecords, "", "  ")
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "bench output: %v\n", err)
-		return
-	}
-	if err := os.WriteFile(path, append(raw, '\n'), 0o644); err != nil {
-		fmt.Fprintf(os.Stderr, "bench output: %v\n", err)
-	}
-}
 
 // benchCard is the paper's §4 CredCard (see examples/quickstart).
 type benchCard struct {
@@ -762,154 +668,6 @@ func BenchmarkE15TxnEventCommit(b *testing.B) {
 	}
 }
 
-// --- E16: group commit -------------------------------------------------------------------
-
-// benchCommitters drives b.N single-op commits through m from c concurrent
-// committers on disjoint OIDs (concurrency control above the storage seam
-// serializes conflicting object access, so disjointness is the realistic
-// multi-application load of §7).
-func benchCommitters(b *testing.B, m storage.Manager, c int) {
-	b.Helper()
-	oids := make([]storage.OID, c)
-	for i := range oids {
-		oid, err := m.ReserveOID()
-		if err != nil {
-			b.Fatal(err)
-		}
-		oids[i] = oid
-	}
-	var txnSeq atomic.Uint64
-	var wg sync.WaitGroup
-	b.ResetTimer()
-	for w := 0; w < c; w++ {
-		n := b.N / c
-		if w == 0 {
-			n += b.N % c
-		}
-		wg.Add(1)
-		go func(w, n int) {
-			defer wg.Done()
-			payload := make([]byte, 64)
-			for i := 0; i < n; i++ {
-				ops := []storage.Op{{Kind: storage.OpWrite, OID: oids[w], Data: payload}}
-				if err := m.ApplyCommit(txnSeq.Add(1), ops); err != nil {
-					b.Error(err)
-					return
-				}
-			}
-		}(w, n)
-	}
-	wg.Wait()
-}
-
-// BenchmarkE16GroupCommit measures commit throughput against committer
-// count on both managers. With group commit, eos ns/op should drop as
-// committers rise (one fsync covers a whole batch); dali has no
-// durability wait and is the ceiling.
-func BenchmarkE16GroupCommit(b *testing.B) {
-	for _, c := range []int{1, 4, 16, 64} {
-		b.Run(fmt.Sprintf("eos/committers=%d", c), func(b *testing.B) {
-			m, err := eos.Open(filepath.Join(b.TempDir(), "e16.eos"), eos.Options{NoAutoCheckpoint: true})
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.Cleanup(func() { m.Close() })
-			benchCommitters(b, m, c)
-			recordBench("e16_group_commit", fmt.Sprintf("eos/committers=%d", c),
-				float64(b.N)/b.Elapsed().Seconds())
-		})
-		b.Run(fmt.Sprintf("dali/committers=%d", c), func(b *testing.B) {
-			m := dali.New()
-			b.Cleanup(func() { m.Close() })
-			benchCommitters(b, m, c)
-			recordBench("e16_group_commit", fmt.Sprintf("dali/committers=%d", c),
-				float64(b.N)/b.Elapsed().Seconds())
-		})
-	}
-}
-
-// --- E21: snapshot reads ----------------------------------------------------
-
-// e21ReaderGrid is the reader-count axis BenchmarkE21SnapshotReads sweeps;
-// writeBenchOut derives the snapshot/baseline ratio per point, which is the
-// machine-independent number CI's bench-regression gate compares.
-var e21ReaderGrid = []int{1, 8, 64}
-
-// benchE21Readers splits b.N read-only transactions across `readers`
-// goroutines. Lock-mode readers with QueryPattern active can deadlock on
-// the descriptor write (that collapse is the measurement), so failed
-// transactions retry until b.N queries have committed.
-func benchE21Readers(b *testing.B, db *ode.Database, ref ode.Ref, readers int, snapshot bool) {
-	b.Helper()
-	var wg sync.WaitGroup
-	b.ResetTimer()
-	for w := 0; w < readers; w++ {
-		n := b.N / readers
-		if w == 0 {
-			n += b.N % readers
-		}
-		wg.Add(1)
-		go func(n int) {
-			defer wg.Done()
-			for i := 0; i < n; i++ {
-				for {
-					var tx *ode.Txn
-					if snapshot {
-						var err error
-						if tx, err = db.BeginSnapshot(); err != nil {
-							b.Error(err)
-							return
-						}
-					} else {
-						tx = db.Begin()
-					}
-					if _, err := db.Invoke(tx, ref, "Query"); err != nil {
-						tx.Abort()
-						continue
-					}
-					if tx.Commit() == nil {
-						break
-					}
-				}
-			}
-		}(n)
-	}
-	wg.Wait()
-}
-
-// BenchmarkE21SnapshotReads measures the MVCC remedy for §6's read-to-write
-// lock amplification across reader counts: baseline is lock-mode readers
-// with no trigger, 2pl+trig is the E8 collapse (QueryPattern turns every
-// Query into a descriptor write), snapshot is lock-free readers pinned to a
-// commit LSN. Run with ODE_BENCH_OUT=BENCH_mvcc.json to regenerate the
-// committed numbers.
-func BenchmarkE21SnapshotReads(b *testing.B) {
-	for _, mode := range []struct {
-		name     string
-		trigger  bool
-		snapshot bool
-	}{
-		{"baseline", false, false},
-		{"2pl+trig", true, false},
-		{"snapshot", true, true},
-	} {
-		for _, readers := range e21ReaderGrid {
-			name := fmt.Sprintf("%s/readers=%d", mode.name, readers)
-			b.Run(name, func(b *testing.B) {
-				var db *ode.Database
-				var ref ode.Ref
-				if mode.trigger {
-					db, ref = benchDB(b, "QueryPattern")
-				} else {
-					db, ref = benchDB(b)
-				}
-				benchE21Readers(b, db, ref, readers, mode.snapshot)
-				recordBench("e21_snapshot_reads", name, float64(b.N)/b.Elapsed().Seconds())
-			})
-		}
-	}
-}
-
 // --- E18: observability overhead ----------------------------------------------
 
 // BenchmarkObsOverhead measures the posting hot path (one active trigger,
@@ -929,40 +687,6 @@ func BenchmarkObsOverhead(b *testing.B) {
 		b.Run(cfg.name, func(b *testing.B) {
 			db, ref := benchDB(b, "DenyCredit")
 			db.Tracer().SetRate(cfg.rate)
-			tx := db.Begin()
-			defer tx.Commit()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := db.Invoke(tx, ref, "Buy", 1.0); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// --- E20: causal provenance overhead -------------------------------------------
-
-// BenchmarkE20Provenance measures the posting hot path with the
-// provenance surface (cause-ID assignment + flight recorder) enabled —
-// the shipping default — against both switched off. The acceptance bar
-// for keeping provenance always on: Enabled within 2% of Disabled; the
-// per-posting cost is one atomic load plus one atomic add.
-// cmd/ode-bench's E20 measures the same A/B on the concurrent eos
-// commit workload.
-func BenchmarkE20Provenance(b *testing.B) {
-	for _, cfg := range []struct {
-		name string
-		on   bool
-	}{
-		{"Enabled", true},
-		{"Disabled", false},
-	} {
-		b.Run(cfg.name, func(b *testing.B) {
-			db, ref := benchDB(b, "DenyCredit")
-			db.SetProvenance(cfg.on)
-			obs.Flight().SetEnabled(cfg.on)
-			b.Cleanup(func() { obs.Flight().SetEnabled(true) })
 			tx := db.Begin()
 			defer tx.Commit()
 			b.ResetTimer()
@@ -1057,128 +781,5 @@ func BenchmarkE19Replication(b *testing.B) {
 			}
 			b.StopTimer()
 		})
-	}
-}
-
-// --- E23: wire pipelining ------------------------------------------------------
-
-// BenchmarkE23Wire measures server posting throughput per wire protocol
-// at 16 concurrent clients: the JSON lockstep baseline, the ODE2 binary
-// protocol with request-ID pipelining, and the multiplexed shared
-// connection (docs/PROTOCOL.md). Each protocol runs twice — over raw
-// loopback and through E23's emulated 1 ms-RTT network, where hiding
-// latency (what pipelining is for) dominates. The rtt binary/json
-// ratio is the machine-independent number CI's bench gate tracks. Run
-// with ODE_BENCH_OUT=BENCH_wire.json -bench E23Wire to regenerate the
-// committed numbers.
-func BenchmarkE23Wire(b *testing.B) {
-	const clients, perOps = 16, 2000
-	for _, link := range []string{"loopback", "rtt1ms"} {
-		for _, mode := range []string{"json", "binary", "mux"} {
-			b.Run(link+"/"+mode, func(b *testing.B) {
-				env, err := experiments.NewWireEnv(clients)
-				if err != nil {
-					b.Fatal(err)
-				}
-				b.Cleanup(env.Close)
-				if link == "rtt1ms" {
-					rttEnv, stop, err := env.WithRTT(time.Millisecond)
-					if err != nil {
-						b.Fatal(err)
-					}
-					b.Cleanup(stop)
-					env = rttEnv
-				}
-				for i := 0; i < b.N; i++ {
-					rate, err := env.MeasureWirePosting(perOps, mode)
-					if err != nil {
-						b.Fatal(err)
-					}
-					b.ReportMetric(rate, "postings/s")
-					recordBench("e23_wire", fmt.Sprintf("postings_per_sec/%s/%s", link, mode), rate)
-				}
-			})
-		}
-	}
-}
-
-// --- E24: horizontal sharding ---------------------------------------------------
-
-// BenchmarkE24Shard measures routed transaction throughput through one
-// ode-router as the shard fleet behind it grows 1→2→4: the E23
-// transaction workload with the DenyCredit trigger active, 16
-// pipelining binary clients, and each shard's store carrying E24's
-// emulated per-node service time (a node is the paper's single-process
-// Ode, §6; see internal/experiments/e24.go). The shards=N / shards=1
-// ratios are the machine-independent numbers BENCH_shard.json commits
-// and CI's bench gate tracks. Run with ODE_BENCH_OUT=BENCH_shard.json
-// -bench E24Shard -benchtime 1x to regenerate the committed numbers.
-func BenchmarkE24Shard(b *testing.B) {
-	const clients, opsPerTxn, perTxns = 16, 4, 100
-	for _, shards := range experiments.E24ShardGrid {
-		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
-			env, err := experiments.NewShardEnv(shards, clients)
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.Cleanup(env.Close)
-			for i := 0; i < b.N; i++ {
-				rate, err := env.MeasureShardTxns(perTxns, opsPerTxn)
-				if err != nil {
-					b.Fatal(err)
-				}
-				b.ReportMetric(rate, "postings/s")
-				recordBench("e24_shard", fmt.Sprintf("postings_per_sec/shards=%d", shards), rate)
-			}
-		})
-	}
-}
-
-// --- E25: fleet observability overhead ----------------------------------------
-
-// BenchmarkE25FleetObs measures the routed E24 workload (2 shards, 16
-// pipelining binary clients, DenyCredit active) with fleet tracing off
-// versus 1-in-16 across every shard — the rate set by one trace.rate
-// broadcast through the router. The traced/untraced ratio is the
-// machine-independent number BENCH_fleetobs.json commits and CI's
-// bench gate tracks (target ≥0.98: fleet tracing costs ≤2%). Run with
-// ODE_BENCH_OUT=BENCH_fleetobs.json -bench E25FleetObs -benchtime 1x to
-// regenerate the committed numbers.
-func BenchmarkE25FleetObs(b *testing.B) {
-	const shards, clients, opsPerTxn, perTxns = 2, 16, 4, 100
-	for i := 0; i < b.N; i++ {
-		untraced, traced, err := experiments.MeasureFleetObs(shards, clients, perTxns, opsPerTxn)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(traced/untraced, "traced/untraced")
-		recordBench("e25_fleetobs", "postings_per_sec/untraced", untraced)
-		recordBench("e25_fleetobs", "postings_per_sec/traced", traced)
-	}
-}
-
-// --- E22: anti-entropy rejoin bytes -------------------------------------------
-
-// BenchmarkE22AntiEntropy measures the downstream bytes an
-// out-of-retained-log replica needs to rejoin via coded-symbol
-// reconciliation, against the snapshot bootstrap it replaces. The
-// snapshot/rejoin byte ratio is machine-independent, so it is what
-// BENCH_antientropy.json commits and CI's bench gate tracks. Run with
-// ODE_BENCH_OUT=BENCH_antientropy.json -bench E22AntiEntropy to
-// regenerate the committed numbers.
-func BenchmarkE22AntiEntropy(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		m, err := experiments.MeasureAntiEntropy(filepath.Join(b.TempDir(), "e22"),
-			1000, []float64{0.01, 0.1})
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(float64(m.SnapshotBytes), "snap-bytes")
-		recordBench("e22_antientropy", "snapshot_bytes", float64(m.SnapshotBytes))
-		for _, p := range m.Points {
-			recordBench("e22_antientropy", fmt.Sprintf("rejoin_bytes/drift=%g", p.Fraction), float64(p.RejoinBytes))
-			recordBench("e22_antientropy", fmt.Sprintf("ratio/drift=%g", p.Fraction),
-				float64(m.SnapshotBytes)/float64(p.RejoinBytes))
-		}
 	}
 }

@@ -1,7 +1,8 @@
-// Command ode-bench runs the full reproduction experiment suite E1–E25
-// (see DESIGN.md for the catalogue and EXPERIMENTS.md for recorded
-// results) and prints one paper-shaped table per experiment, followed by
-// a pass/fail summary against the paper's predicted shapes.
+// Command ode-bench runs the reproduction experiment suite (see
+// DESIGN.md for the catalogue and EXPERIMENTS.md for recorded results)
+// and prints one paper-shaped table per experiment, followed by a
+// pass/fail summary against the paper's predicted shapes. Performance
+// is measured by the bench/ ledger, not here.
 //
 // Usage:
 //
@@ -38,21 +39,20 @@ func main() {
 		return
 	}
 
-	fns := map[string]func() experiments.Result{
-		"E1": r.E1, "E2": r.E2, "E3": r.E3, "E4": r.E4, "E5": r.E5,
-		"E6": r.E6, "E7": r.E7, "E8": r.E8, "E9": r.E9, "E10": r.E10,
-		"E11": r.E11, "E12": r.E12, "E13": r.E13, "E14": r.E14, "E15": r.E15,
-		"E16": r.E16, "E17": r.E17, "E19": r.E19, "E20": r.E20, "E21": r.E21,
-		"E22": r.E22, "E23": r.E23, "E24": r.E24, "E25": r.E25,
+	fns := map[string]func(*experiments.Runner) experiments.Result{}
+	var valid []string
+	for _, e := range experiments.Suite {
+		fns[e.ID] = e.Run
+		valid = append(valid, e.ID)
 	}
 	failed := false
 	for _, id := range strings.Split(*only, ",") {
 		id = strings.TrimSpace(strings.ToUpper(id))
 		fn, ok := fns[id]
 		if !ok {
-			log.Fatalf("unknown experiment %q (valid: E1..E17, E19..E25)", id)
+			log.Fatalf("unknown experiment %q (valid: %s)", id, strings.Join(valid, ","))
 		}
-		res := fn()
+		res := fn(r)
 		verdict := "ok"
 		if !res.Passed {
 			verdict = "FAIL"

@@ -202,8 +202,7 @@ type Database struct {
 	// Causal provenance (see obs.Cause): every posted basic event gets a
 	// cause ID from causes, parent-linked when posted from inside a
 	// trigger action so cascades form a chain. provenance gates
-	// assignment (on by default; E20 measures the cost of leaving it
-	// on). cc, when the store supports it, carries each transaction's
+	// assignment (on by default, and in every bench/ ledger run). cc, when the store supports it, carries each transaction's
 	// originating cause into its WAL commit record so replicas — and
 	// post-failover composite completions — are attributed to the
 	// primary-side event.
@@ -258,7 +257,7 @@ func NewDatabase(store storage.Manager) (*Database, error) {
 }
 
 // SetProvenance enables or disables cause-ID assignment (on by
-// default; the E20 A/B harness turns it off for the baseline leg).
+// default).
 func (db *Database) SetProvenance(on bool) { db.provenance.Store(on) }
 
 // Provenance reports whether cause IDs are being assigned.

@@ -120,7 +120,7 @@ func TestCascadeProvenanceChain(t *testing.T) {
 }
 
 // TestProvenanceDisabled asserts SetProvenance(false) suppresses cause
-// assignment entirely (the E20 baseline path).
+// assignment entirely.
 func TestProvenanceDisabled(t *testing.T) {
 	db, ref := cascadeFixture(t)
 	db.SetProvenance(false)

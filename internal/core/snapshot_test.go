@@ -11,7 +11,7 @@ import (
 	"ode/internal/storage/dali"
 )
 
-// snapCardClass is the E8/E21 read-amplification fixture: Query is
+// snapCardClass is the E8 read-amplification fixture: Query is
 // read-only, but the QueryPattern trigger's FSM advance turns every
 // lock-mode Query posting into a descriptor write. fired counts action
 // executions.

@@ -1,10 +1,11 @@
-// Package experiments implements the reproduction experiments E1–E25
-// catalogued in DESIGN.md and reported in EXPERIMENTS.md. The paper has
+// Package experiments implements the reproduction experiments catalogued
+// in DESIGN.md and reported in EXPERIMENTS.md (see Suite). The paper has
 // no quantitative tables — its measurable content is Figure 1, five
 // design goals, the §6 implementation experiences, and the §7 comparison
 // claims — so each experiment regenerates one of those: a structure
-// check, a micro-benchmark pair whose *shape* (who wins, direction,
-// rough factor) the paper predicts, or a semantics check.
+// check, a count, a micro-benchmark pair whose *shape* (who wins,
+// direction, rough factor) the paper predicts, or a semantics check.
+// Absolute speed is the bench/ ledger's job, not this package's.
 //
 // cmd/ode-bench runs every experiment and prints the tables;
 // bench_test.go exposes the same measurements as testing.B benchmarks.
@@ -53,26 +54,28 @@ type Runner struct {
 	Cfg Config
 }
 
+// Suite lists every experiment in run order. RunAll and cmd/ode-bench
+// -only both read it, so the two cannot disagree on what exists.
+// E18 (observability overhead) is benchmark-shaped and lives in
+// bench_test.go; E16, E20, E21, E23, E24 and E25 were retired into the
+// bench/ ledger (EXPERIMENTS.md, "Retired into the ledger").
+var Suite = []struct {
+	ID  string
+	Run func(*Runner) Result
+}{
+	{"E1", (*Runner).E1}, {"E2", (*Runner).E2}, {"E3", (*Runner).E3},
+	{"E4", (*Runner).E4}, {"E5", (*Runner).E5}, {"E6", (*Runner).E6},
+	{"E7", (*Runner).E7}, {"E8", (*Runner).E8}, {"E9", (*Runner).E9},
+	{"E10", (*Runner).E10}, {"E11", (*Runner).E11}, {"E12", (*Runner).E12},
+	{"E13", (*Runner).E13}, {"E14", (*Runner).E14}, {"E15", (*Runner).E15},
+	{"E17", (*Runner).E17}, {"E19", (*Runner).E19}, {"E22", (*Runner).E22},
+}
+
 // RunAll executes every experiment in order and returns the results.
 func (r *Runner) RunAll() []Result {
-	type exp struct {
-		id string
-		fn func() Result
-	}
-	exps := []exp{
-		{"E1", r.E1}, {"E2", r.E2}, {"E3", r.E3}, {"E4", r.E4},
-		{"E5", r.E5}, {"E6", r.E6}, {"E7", r.E7}, {"E8", r.E8},
-		{"E9", r.E9}, {"E10", r.E10}, {"E11", r.E11}, {"E12", r.E12},
-		{"E13", r.E13}, {"E14", r.E14}, {"E15", r.E15}, {"E16", r.E16},
-		{"E17", r.E17},
-		// E18 (observability overhead) is benchmark-shaped and lives in
-		// bench_test.go / EXPERIMENTS.md; the runner skips to E19.
-		{"E19", r.E19}, {"E20", r.E20}, {"E21", r.E21}, {"E22", r.E22},
-		{"E23", r.E23}, {"E24", r.E24}, {"E25", r.E25},
-	}
 	var out []Result
-	for _, e := range exps {
-		out = append(out, e.fn())
+	for _, e := range Suite {
+		out = append(out, e.Run(r))
 		fmt.Fprintln(r.W)
 	}
 	fmt.Fprintf(r.W, "== summary ==\n")

@@ -317,51 +317,63 @@ func TestModeAndResourceString(t *testing.T) {
 	}
 }
 
-// Property: any random schedule of lock/unlock over a handful of
+// Property: any random schedule of lock requests over a handful of
 // transactions and resources never grants conflicting modes concurrently
 // and always terminates (deadlock victims get errors, not hangs).
+//
+// Each transaction is driven by one goroutine, as the transaction
+// manager drives it: its requests run in script order under strict 2PL,
+// every grant held until the script ends or a deadlock makes it the
+// victim, which releases all and carries on. Releases clear the model
+// under mu, so every holding the model records is real while mu is held.
 func TestNoConflictingGrantsProperty(t *testing.T) {
 	f := func(script []uint8) bool {
 		m := NewManager()
 		held := make(map[Resource]map[TxnID]Mode)
 		var mu sync.Mutex
 		ok := true
+		releaseAll := func(txn TxnID) {
+			mu.Lock()
+			for _, hs := range held {
+				delete(hs, txn)
+			}
+			m.ReleaseAll(txn)
+			mu.Unlock()
+		}
 
 		var wg sync.WaitGroup
-		sem := make(chan struct{}, 4)
-		for i, b := range script {
-			txn := TxnID(b%3 + 1)
-			r := Resource{SpaceObject, uint64(b / 3 % 3)}
-			mode := Shared
-			if b%2 == 0 {
-				mode = Exclusive
-			}
+		for txn := TxnID(1); txn <= 3; txn++ {
 			wg.Add(1)
-			sem <- struct{}{}
-			go func(i int) {
+			go func(txn TxnID) {
 				defer wg.Done()
-				defer func() { <-sem }()
-				if err := m.Lock(txn, r, mode); err != nil {
-					m.ReleaseAll(txn)
-					return
-				}
-				mu.Lock()
-				if held[r] == nil {
-					held[r] = make(map[TxnID]Mode)
-				}
-				for h, hm := range held[r] {
-					if h != txn && (mode == Exclusive || hm == Exclusive) {
-						ok = false
+				defer releaseAll(txn)
+				for _, b := range script {
+					if TxnID(b%3+1) != txn {
+						continue
 					}
+					r := Resource{SpaceObject, uint64(b / 3 % 3)}
+					mode := Shared
+					if b%2 == 0 {
+						mode = Exclusive
+					}
+					if err := m.Lock(txn, r, mode); err != nil {
+						releaseAll(txn)
+						continue
+					}
+					mu.Lock()
+					hm, _ := m.HeldMode(txn, r)
+					if held[r] == nil {
+						held[r] = make(map[TxnID]Mode)
+					}
+					for h, other := range held[r] {
+						if h != txn && (hm == Exclusive || other == Exclusive) {
+							ok = false
+						}
+					}
+					held[r][txn] = hm
+					mu.Unlock()
 				}
-				held[r][txn] = mode
-				mu.Unlock()
-
-				mu.Lock()
-				delete(held[r], txn)
-				mu.Unlock()
-				m.ReleaseAll(txn)
-			}(i)
+			}(txn)
 		}
 		wg.Wait()
 		return ok

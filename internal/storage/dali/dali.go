@@ -21,7 +21,6 @@ import (
 	"os"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"ode/internal/storage"
 	"ode/internal/storage/vstore"
@@ -52,11 +51,6 @@ type Manager struct {
 	// the sharding hook: each shard allocates only the OIDs its ring
 	// slice owns, skipping the rest (see internal/shard).
 	oidFilter func(uint64) bool
-	// pace (nanoseconds) is an emulated per-commit service time; paceMu
-	// is the serial service line commits queue on when it is set. See
-	// SetCommitPace.
-	pace   atomic.Int64
-	paceMu sync.Mutex
 }
 
 // New returns an empty, purely volatile manager.
@@ -96,16 +90,6 @@ func (m *Manager) SetOIDFilter(allow func(uint64) bool) {
 	m.oidFilter = allow
 	m.mu.Unlock()
 }
-
-// SetCommitPace installs (or clears, with 0) an emulated per-commit
-// service time: each non-empty ApplyCommit first holds a dedicated pace
-// lock for d, so commits serialize behind it while reads proceed
-// untouched. The knob models one node whose engine serves transactions
-// one at a time — the paper's single-process Ode (§6) — for experiments
-// that sweep fleet sizes on a host where in-process shards share cores
-// (E24), the same emulation move as E23's fixed-RTT link. Production
-// stores never set it.
-func (m *Manager) SetCommitPace(d time.Duration) { m.pace.Store(int64(d)) }
 
 // ReserveOID implements storage.Manager.
 func (m *Manager) ReserveOID() (storage.OID, error) {
@@ -163,11 +147,6 @@ func (m *Manager) Exists(oid storage.OID) bool {
 // applied directly; "durability" is the store's residence in memory, as in
 // MM-Ode (snapshotting is explicit via Checkpoint).
 func (m *Manager) ApplyCommit(txn uint64, ops []storage.Op) error {
-	if d := time.Duration(m.pace.Load()); d > 0 && len(ops) > 0 {
-		m.paceMu.Lock()
-		time.Sleep(d)
-		m.paceMu.Unlock()
-	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if m.closed {

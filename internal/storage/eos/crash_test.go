@@ -187,6 +187,72 @@ func TestRecoveryInterleavedLog(t *testing.T) {
 	}
 }
 
+// TestRecoveryStaleOverflowChain is the crash TestCrashCyclesProperty
+// hit about once in a hundred runs, built by hand. A checkpointed
+// two-page object X is freed, its continuation page is reused as the
+// slotted page of a small object Y, and eviction flushes that page but
+// not X's freed head. After the crash the head on disk still names the
+// reused page as its continuation, so replaying "free X" must stop
+// there instead of freeing Y's page, which a later replayed allocation
+// would then hand out a second time.
+func TestRecoveryStaleOverflowChain(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "stale.eos")
+	opts := Options{CacheSize: 4, NoAutoCheckpoint: true}
+	m, err := Open(path, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	model := map[storage.OID][]byte{}
+	txn := uint64(1)
+	commit := func(ops ...storage.Op) {
+		t.Helper()
+		if err := m.ApplyCommit(txn, ops); err != nil {
+			t.Fatal(err)
+		}
+		txn++
+		for _, op := range ops {
+			if op.Kind == storage.OpFree {
+				delete(model, op.OID)
+			} else {
+				model[op.OID] = op.Data
+			}
+		}
+	}
+	create := func(size int) storage.OID {
+		t.Helper()
+		oid, err := m.ReserveOID()
+		if err != nil {
+			t.Fatal(err)
+		}
+		commit(storage.Op{Kind: storage.OpWrite, OID: oid, Data: bytes.Repeat([]byte{byte(oid)}, size)})
+		return oid
+	}
+
+	x := create(MaxInline + 100) // head + one continuation page
+	if err := m.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	commit(storage.Op{Kind: storage.OpFree, OID: x}) // frees head, then continuation
+	create(100)                                      // Y: reuses the continuation page
+	create(MaxInline + 100)                          // W: reuses X's head, keeping it cached
+	create(MaxInline + 100)                          // V: two new pages evict Y's page to disk
+
+	// Crash: reopen without Close.
+	m, err = Open(path, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close()
+	for oid, want := range model {
+		if got, err := m.Read(oid); err != nil || !bytes.Equal(got, want) {
+			t.Fatalf("oid %d after recovery: err=%v, %d bytes, want %d", oid, err, len(got), len(want))
+		}
+	}
+	if got, err := m.Read(x); !errors.Is(err, storage.ErrNotFound) {
+		t.Fatalf("freed oid %d visible after recovery: %d bytes, err=%v", x, len(got), err)
+	}
+}
+
 // TestConcurrentCommitsSurviveCrash group-commits from many goroutines,
 // then crashes (reopen without Close, dirty pages lost). Every committer's
 // last acknowledged write — which interleaved with the others in the log —

@@ -387,72 +387,12 @@ func (m *Manager) buildDirectory() (repaired bool, err error) {
 		// object from its logged after-image.
 		repaired = true
 		for _, l := range ls {
-			if err := m.purgeLoc(oid, l); err != nil {
+			if err := m.removeLoc(oid, l); err != nil {
 				return repaired, fmt.Errorf("eos: purge duplicate oid %d: %w", oid, err)
 			}
 		}
 	}
 	return repaired, nil
-}
-
-// purgeLoc removes one possibly-stale copy of oid during directory
-// repair. Unlike removeLoc it defends against pages that were reused
-// since the stale location was written: slots are only cleared if they
-// still name oid, overflow walks stop at pages that no longer belong to
-// oid's chain, and cycles through stale next-pointers are cut.
-func (m *Manager) purgeLoc(oid storage.OID, l loc) error {
-	if !l.overflow {
-		p, err := m.getPage(l.pageNo)
-		if err != nil {
-			return err
-		}
-		if p.buf.kind() != kindSlotted || int(l.slot) >= p.buf.nslots() {
-			return nil // page already freed or reshaped
-		}
-		if s, _, _ := p.buf.slot(int(l.slot)); s != uint64(oid) {
-			return nil // slot reused by another object
-		}
-		p.buf.remove(int(l.slot))
-		m.markDirty(p)
-		if p.buf.liveCount() == 0 {
-			delete(m.freeSpace, l.pageNo)
-			p.buf.init(kindFree)
-			m.addFreePage(l.pageNo)
-		} else {
-			m.freeSpace[l.pageNo] = p.buf.freeSpace()
-		}
-		return nil
-	}
-	visited := make(map[uint32]bool)
-	no := l.pageNo
-	for no != 0 && !visited[no] {
-		visited[no] = true
-		p, err := m.getPage(no)
-		if err != nil {
-			return err
-		}
-		k := p.buf.kind()
-		if (k != kindOverflowHead && k != kindOverflowCont) || p.buf.ovOID() != uint64(oid) {
-			return nil // chain page reused; stop here
-		}
-		next := uint32(p.buf.next())
-		p.buf.init(kindFree)
-		m.markDirty(p)
-		delete(m.freeSpace, no)
-		m.addFreePage(no)
-		no = next
-	}
-	return nil
-}
-
-// addFreePage appends a page to the free list exactly once.
-func (m *Manager) addFreePage(no uint32) {
-	for _, f := range m.freePages {
-		if f == no {
-			return
-		}
-	}
-	m.freePages = append(m.freePages, no)
 }
 
 // recover replays committed WAL batches, then checkpoints to truncate the
@@ -946,12 +886,27 @@ func (m *Manager) free(oid storage.OID) error {
 	return m.removeLoc(oid, l)
 }
 
+// removeLoc drops oid from the directory and frees its storage at l.
+// After a crash the store's pages reached disk at different times, so a
+// location recovery reads back can be stale: a slot may since have been
+// reused, and an overflow head can name continuation pages another
+// object now owns or that are already free. removeLoc therefore clears
+// only a slot that still names oid and frees only chain pages that still
+// belong to oid, stopping at the first that does not (a freed page fails
+// the check, which also cuts cycles through stale next-pointers). On a
+// consistent store every check passes.
 func (m *Manager) removeLoc(oid storage.OID, l loc) error {
 	delete(m.dir, oid)
 	if !l.overflow {
 		p, err := m.getPage(l.pageNo)
 		if err != nil {
 			return err
+		}
+		if p.buf.kind() != kindSlotted || int(l.slot) >= p.buf.nslots() {
+			return nil
+		}
+		if s, _, _ := p.buf.slot(int(l.slot)); s != uint64(oid) {
+			return nil
 		}
 		p.buf.remove(int(l.slot))
 		m.markDirty(p)
@@ -964,17 +919,18 @@ func (m *Manager) removeLoc(oid storage.OID, l loc) error {
 		}
 		return nil
 	}
-	no := l.pageNo
-	for no != 0 {
+	for no := l.pageNo; no != 0; {
 		p, err := m.getPage(no)
 		if err != nil {
 			return err
 		}
-		next := uint32(p.buf.next())
+		if k := p.buf.kind(); (k != kindOverflowHead && k != kindOverflowCont) || p.buf.ovOID() != uint64(oid) {
+			return nil
+		}
+		no = uint32(p.buf.next())
 		p.buf.init(kindFree)
 		m.markDirty(p)
-		m.freePages = append(m.freePages, no)
-		no = next
+		m.freePages = append(m.freePages, p.no)
 	}
 	return nil
 }

@@ -63,8 +63,8 @@ type Op struct {
 	Data []byte // OpWrite only
 }
 
-// Stats counts storage activity; experiments E10 and E16 report these
-// alongside throughput.
+// Stats counts storage activity; experiment E10 and the bench/ ledger
+// report these alongside throughput.
 type Stats struct {
 	Reads      uint64 // object reads served
 	Writes     uint64 // object writes applied

@@ -54,7 +54,7 @@ func TestObservabilityDocCoverage(t *testing.T) {
 			t.Errorf("op %q is not documented in docs/OBSERVABILITY.md", op)
 		}
 	}
-	for _, term := range []string{"Fleet observability", "E25", "BENCH_fleetobs.json"} {
+	for _, term := range []string{"Fleet observability", "fleet-routed", "obs.trace_overhead_frac"} {
 		if !strings.Contains(doc, term) {
 			t.Errorf("docs/OBSERVABILITY.md does not mention %q", term)
 		}
