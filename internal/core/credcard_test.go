@@ -87,7 +87,7 @@ func newCredCardClass() *Class {
 }
 
 // newTestDB returns a main-memory database with CredCard registered.
-func newTestDB(t *testing.T, classes ...*Class) *Database {
+func newTestDB(t testing.TB, classes ...*Class) *Database {
 	t.Helper()
 	db, err := NewDatabase(dali.New())
 	if err != nil {
@@ -104,7 +104,7 @@ func newTestDB(t *testing.T, classes ...*Class) *Database {
 }
 
 // newCard commits a fresh card and returns its Ref.
-func newCard(t *testing.T, db *Database, limit float64, goodHist bool) Ref {
+func newCard(t testing.TB, db *Database, limit float64, goodHist bool) Ref {
 	t.Helper()
 	tx := db.Begin()
 	ref, err := db.Create(tx, "CredCard", &CredCard{Holder: "Narain", CredLim: limit, GoodHist: goodHist})

@@ -10,85 +10,68 @@ import (
 	"ode/internal/txn"
 )
 
+// openDiskDB opens (or reopens) an eos database at path with CredCard
+// registered, as one application process would. The caller closes it.
+func openDiskDB(t testing.TB, path string) *Database {
+	t.Helper()
+	store, err := eos.Open(path, eos.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	db, err := NewDatabase(store)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Register(newCredCardClass()); err != nil {
+		t.Fatal(err)
+	}
+	return db
+}
+
+// crossProcessLimit runs two "application processes" in turn — two
+// Database instances over one store file — and returns the card's credit
+// limit as the second one sees it. The first creates the card, activates
+// AutoRaiseLimit(500) and arms its pattern with a big Buy, then exits;
+// the second only pays the bill. The limit is 1500 exactly when the
+// composite event armed in one process fired in the other.
+func crossProcessLimit(t *testing.T) float64 {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "global.eos")
+
+	db := openDiskDB(t, path)
+	ref := newCard(t, db, 1000, true)
+	tx := db.Begin()
+	if _, err := db.Activate(tx, ref, "AutoRaiseLimit", 500.0); err != nil {
+		t.Fatal(err)
+	}
+	if err := tx.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	if err := buy(t, db, ref, 900); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	db = openDiskDB(t, path)
+	if err := payBill(t, db, ref, 100); err != nil {
+		t.Fatal(err)
+	}
+	limit := card(t, db, ref).CredLim
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return limit
+}
+
 // TestGlobalCompositeAcrossProcesses is experiment E14's correctness half:
 // because TriggerStates live in the database (not in transient program
 // memory as in Sentinel, §7), a composite event armed by one application
-// can be completed by another. We simulate two application processes with
-// two Database instances over the same store file, opened sequentially.
+// can be completed by another.
 func TestGlobalCompositeAcrossProcesses(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "global.eos")
-
-	// "Application 1": create the card, activate AutoRaiseLimit, arm the
-	// pattern with a big Buy, then exit.
-	var ref Ref
-	{
-		store, err := eos.Open(path, eos.Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		db, err := NewDatabase(store)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := db.Register(newCredCardClass()); err != nil {
-			t.Fatal(err)
-		}
-		tx := db.Begin()
-		ref, err = db.Create(tx, "CredCard", &CredCard{CredLim: 1000, GoodHist: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := db.Activate(tx, ref, "AutoRaiseLimit", 500.0); err != nil {
-			t.Fatal(err)
-		}
-		if err := tx.Commit(); err != nil {
-			t.Fatal(err)
-		}
-		tx2 := db.Begin()
-		if _, err := db.Invoke(tx2, ref, "Buy", 900.0); err != nil {
-			t.Fatal(err)
-		}
-		if err := tx2.Commit(); err != nil {
-			t.Fatal(err)
-		}
-		if err := db.Close(); err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	// "Application 2": a fresh process completes the pattern.
-	{
-		store, err := eos.Open(path, eos.Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		db, err := NewDatabase(store)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := db.Register(newCredCardClass()); err != nil {
-			t.Fatal(err)
-		}
-		tx := db.Begin()
-		if _, err := db.Invoke(tx, ref, "PayBill", 100.0); err != nil {
-			t.Fatal(err)
-		}
-		if err := tx.Commit(); err != nil {
-			t.Fatal(err)
-		}
-		tx2 := db.Begin()
-		v, err := db.Get(tx2, ref)
-		if err != nil {
-			t.Fatal(err)
-		}
-		c := v.(*CredCard)
-		tx2.Commit()
-		if c.CredLim != 1500 {
-			t.Fatalf("cross-process composite did not fire: limit %v, want 1500", c.CredLim)
-		}
-		if err := db.Close(); err != nil {
-			t.Fatal(err)
-		}
+	if limit := crossProcessLimit(t); limit != 1500 {
+		t.Fatalf("cross-process composite did not fire: limit %v, want 1500", limit)
 	}
 }
 

@@ -20,7 +20,7 @@ func TestDominanceRuleShrinksFigure1(t *testing.T) {
 	with := c.compile(t, src)
 
 	opts := c.options()
-	opts.NoDominance = true
+	opts.noDominance = true
 	without, err := Compile(eventexpr.MustParse(src), opts)
 	if err != nil {
 		t.Fatal(err)
@@ -54,7 +54,7 @@ func TestDominanceBehaviourEquivalence(t *testing.T) {
 
 		with := c.compile(t, src)
 		opts := c.options()
-		opts.NoDominance = true
+		opts.noDominance = true
 		without, err := Compile(eventexpr.MustParse(src), opts)
 		if err != nil {
 			t.Fatal(err)
@@ -88,7 +88,7 @@ func benchDominance(b *testing.B, noDominance bool) {
 	c := credCardClass()
 	c.masks["MoreCred"] = true
 	opts := c.options()
-	opts.NoDominance = noDominance
+	opts.noDominance = noDominance
 	m, err := Compile(eventexpr.MustParse("relative((after Buy & MoreCred()), after PayBill)"), opts)
 	if err != nil {
 		b.Fatal(err)

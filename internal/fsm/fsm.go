@@ -97,12 +97,12 @@ type Options struct {
 	Alphabet []event.ID
 	// MaskExists validates a mask predicate reference; nil accepts all.
 	MaskExists func(name string) error
-	// NoDominance disables the redundant-mask elimination rule during
+	// noDominance disables the redundant-mask elimination rule during
 	// subset construction (the rule that keeps Figure 1 at four states).
 	// Without it the machine is still behaviourally correct — extra mask
 	// states evaluate predicates whose outcome cannot matter — but
-	// larger and slower. Exposed for the ablation benchmark only.
-	NoDominance bool
+	// larger and slower. Set only by the package's ablation tests.
+	noDominance bool
 }
 
 // CompileError reports a semantic error found while compiling an event
@@ -345,7 +345,7 @@ func (b *builder) determinize(g glu, anchored bool) *Machine {
 	// This is what keeps Figure 1 at four states instead of spawning a
 	// second (behaviourally identical) mask state from state 2.
 	normalize := func(set []int32) []int32 {
-		if b.opts.NoDominance {
+		if b.opts.noDominance {
 			return set
 		}
 		out := set
@@ -645,16 +645,4 @@ func (m *Machine) Format(describe func(event.ID) string) string {
 		sb.WriteString("\n")
 	}
 	return sb.String()
-}
-
-// MemoryFootprint estimates the bytes used by the sparse representation:
-// per-state fixed cost plus per-transition cost. Used by experiment E6.
-func (m *Machine) MemoryFootprint() int {
-	const stateBytes = 32 // Accept+Mask+OnTrue+OnFalse+slice header, rounded
-	const transBytes = 8  // event.ID + int32
-	n := len(m.States) * stateBytes
-	for _, st := range m.States {
-		n += len(st.Trans) * transBytes
-	}
-	return n
 }

@@ -76,6 +76,14 @@ func (c *testClass) compile(t *testing.T, src string) *Machine {
 	return m
 }
 
+// describe names an event by its declaration, for Format.
+func (c *testClass) describe(id event.ID) string {
+	if info, ok := c.reg.Info(id); ok {
+		return info.Decl.String()
+	}
+	return fmt.Sprintf("e%d", id)
+}
+
 func (c *testClass) eval(name string) (bool, error) {
 	c.evaled = append(c.evaled, name)
 	v, ok := c.masks[name]
@@ -117,17 +125,18 @@ func credCardClass() *testClass {
 	return c
 }
 
-// TestE1Figure1FSM is experiment E1: the AutoRaiseLimit expression
-// compiles to exactly the extended FSM of the paper's Figure 1 —
-// four states, with:
+// TestPaperE1Figure1FSM is experiment E1 (Figure 1, §5.1.2): the
+// AutoRaiseLimit expression compiles to exactly the extended FSM of the
+// paper's Figure 1 — four states, with:
 //
 //	state 0 (start): after Buy -> 1; BigBuy, after PayBill -> 0
 //	state 1 (*mask MoreCred): True -> 2, False -> 0
 //	state 2: after PayBill -> 3; BigBuy, after Buy -> 2
 //	state 3 (accept)
-func TestE1Figure1FSM(t *testing.T) {
+func TestPaperE1Figure1FSM(t *testing.T) {
 	c := credCardClass()
 	m := c.compile(t, "relative((after Buy & MoreCred()), after PayBill)")
+	t.Logf("Figure 1 machine:\n%s", m.Format(c.describe))
 
 	if got := m.NumStates(); got != 4 {
 		t.Fatalf("machine has %d states, Figure 1 has 4:\n%s", got, m.Format(nil))
@@ -438,12 +447,7 @@ func TestStartAccepts(t *testing.T) {
 func TestFormat(t *testing.T) {
 	c := credCardClass()
 	m := c.compile(t, "relative((after Buy & MoreCred()), after PayBill)")
-	names := map[event.ID]string{
-		c.ids["BigBuy"]:        "BigBuy",
-		c.ids["after PayBill"]: "after PayBill",
-		c.ids["after Buy"]:     "after Buy",
-	}
-	out := m.Format(func(id event.ID) string { return names[id] })
+	out := m.Format(c.describe)
 	for _, want := range []string{
 		"state 0 (start)",
 		"*mask MoreCred: True -> 2, False -> 0",
@@ -492,7 +496,7 @@ var genSources = []string{
 
 func TestDenseEquivalence(t *testing.T) {
 	// Property: for random expressions, mask settings, and streams, the
-	// dense machine produces identical (state, accept) traces.
+	// §6 dense matrix produces identical (state, accept) traces.
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		c := newTestClass(event.User("A"), event.User("B"), event.User("C"))
@@ -503,8 +507,10 @@ func TestDenseEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatalf("Compile(%q): %v", src, err)
 		}
-		d := NewDense(m)
+		d := newDenseIndexed(m, event.ID(c.reg.Len()))
 
+		// X is registered after the matrix is built, so it indexes past
+		// its width: both representations must ignore it.
 		evs := []event.ID{c.ids["A"], c.ids["B"], c.ids["C"], c.reg.Register("X", event.User("X"))}
 		sSt, dSt := m.Start, m.Start
 		for i := 0; i < 40; i++ {
@@ -532,46 +538,9 @@ func TestDenseEquivalence(t *testing.T) {
 	}
 }
 
-func TestDenseFootprintGrowsWithAlphabet(t *testing.T) {
-	// E6's shape: dense footprint grows with |alphabet| × |states| even
-	// when the expression only touches two events; sparse stays small.
-	small := newTestClass(event.User("A"), event.User("B"))
-	var declsBig []event.Decl
-	declsBig = append(declsBig, event.User("A"), event.User("B"))
-	for i := 0; i < 62; i++ {
-		declsBig = append(declsBig, event.User(fmt.Sprintf("E%d", i)))
-	}
-	big := newTestClass(declsBig...)
-
-	mSmall := small.compile(t, "A, B")
-	mBig := big.compile(t, "A, B")
-	dSmall := NewDense(mSmall)
-	dBig := NewDense(mBig)
-
-	if dBig.MemoryFootprint() <= dSmall.MemoryFootprint() {
-		t.Fatalf("dense footprint did not grow with alphabet: %d vs %d",
-			dBig.MemoryFootprint(), dSmall.MemoryFootprint())
-	}
-	// The sparse machine grows too (its states now carry the wider
-	// (*any) self-loops) but far less than the dense matrix.
-	sparseGrowth := float64(mBig.MemoryFootprint()) / float64(mSmall.MemoryFootprint())
-	denseGrowth := float64(dBig.MemoryFootprint()) / float64(dSmall.MemoryFootprint())
-	if denseGrowth <= sparseGrowth {
-		t.Fatalf("dense growth %.1fx not worse than sparse growth %.1fx", denseGrowth, sparseGrowth)
-	}
-}
-
-func TestDenseWidth(t *testing.T) {
-	c := newTestClass(event.User("A"), event.User("B"), event.User("C"))
-	d := NewDense(c.compile(t, "A, B"))
-	if d.Width() != 3 {
-		t.Fatalf("dense width = %d, want 3 (full class alphabet)", d.Width())
-	}
-}
-
 func TestDenseAdvanceStateRangeError(t *testing.T) {
 	c := newTestClass(event.User("A"))
-	d := NewDense(c.compile(t, "A"))
+	d := newDenseIndexed(c.compile(t, "A"), event.ID(c.reg.Len()))
 	if _, _, err := d.Advance(99, c.ids["A"], c.eval); err == nil {
 		t.Fatal("dense Advance(out-of-range) succeeded")
 	}

@@ -50,7 +50,7 @@ type primary struct {
 	addr  string
 }
 
-func startPrimary(t *testing.T, path string, cls *core.Class) *primary {
+func startPrimary(t testing.TB, path string, cls *core.Class) *primary {
 	t.Helper()
 	store, err := eos.Open(path, eos.Options{})
 	if err != nil {
@@ -84,7 +84,7 @@ func (p *primary) shutdown() {
 	p.db.Close()
 }
 
-func startReplica(t *testing.T, dir, name, addr string) (*Replica, *eos.Manager) {
+func startReplica(t testing.TB, dir, name, addr string) (*Replica, *eos.Manager) {
 	t.Helper()
 	path := filepath.Join(dir, name)
 	store, err := eos.Open(path, eos.Options{})
@@ -104,7 +104,7 @@ func startReplica(t *testing.T, dir, name, addr string) (*Replica, *eos.Manager)
 }
 
 // commitBuy runs one Buy in its own transaction.
-func commitOp(t *testing.T, db *core.Database, ref core.Ref, method string, amt float64) {
+func commitOp(t testing.TB, db *core.Database, ref core.Ref, method string, amt float64) {
 	t.Helper()
 	tx := db.Begin()
 	if _, err := db.Invoke(tx, ref, method, amt); err != nil {
@@ -115,7 +115,7 @@ func commitOp(t *testing.T, db *core.Database, ref core.Ref, method string, amt 
 	}
 }
 
-func waitFor(t *testing.T, what string, cond func() bool) {
+func waitFor(t testing.TB, what string, cond func() bool) {
 	t.Helper()
 	deadline := time.Now().Add(10 * time.Second)
 	for !cond() {

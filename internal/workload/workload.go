@@ -62,11 +62,6 @@ type CardMix struct {
 // DefaultCardMix is a write-heavy monitoring mix.
 var DefaultCardMix = CardMix{BuyPct: 50, PayPct: 30, BigBuyPct: 5}
 
-// ReadMostlyCardMix is the mix for the lock-amplification experiment: the
-// §6 effect appears when reads dominate and triggers turn them into
-// writes.
-var ReadMostlyCardMix = CardMix{BuyPct: 5, PayPct: 5, BigBuyPct: 0}
-
 // CardStream generates n operations over cards cards. Hotspot is the
 // probability (percent) that an operation targets card 0 — raising it
 // concentrates conflicts for the lock experiments.

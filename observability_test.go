@@ -2,8 +2,11 @@ package ode_test
 
 import (
 	"errors"
+	"io/fs"
 	"os"
+	"path/filepath"
 	"reflect"
+	"regexp"
 	"strings"
 	"testing"
 
@@ -15,6 +18,8 @@ import (
 // obs: every metric name registered by an open database, every trace step
 // kind, and every JSON field of the trace schema must appear verbatim in
 // docs/OBSERVABILITY.md. Adding a metric without documenting it fails CI.
+// It also holds the experiment catalogue to the code: every test or
+// benchmark EXPERIMENTS.md and DESIGN.md cite must exist.
 func TestObservabilityDocCoverage(t *testing.T) {
 	raw, err := os.ReadFile("docs/OBSERVABILITY.md")
 	if err != nil {
@@ -76,6 +81,41 @@ func TestObservabilityDocCoverage(t *testing.T) {
 			}
 			if !strings.Contains(doc, "`"+name+"`") {
 				t.Errorf("%s JSON field `%s` is not documented in docs/OBSERVABILITY.md", typ.Name(), name)
+			}
+		}
+	}
+
+	declared := map[string]bool{}
+	declRE := regexp.MustCompile(`(?m)^func ((?:Test|Benchmark)\w+)\(`)
+	err = filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() && path != "." && strings.HasPrefix(d.Name(), ".") {
+			return filepath.SkipDir
+		}
+		if !strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		src, err := os.ReadFile(path)
+		for _, m := range declRE.FindAllStringSubmatch(string(src), -1) {
+			declared[m[1]] = true
+		}
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	citeRE := regexp.MustCompile(`\b(?:Test|Benchmark)[A-Z]\w*`)
+	for _, path := range []string{"EXPERIMENTS.md", "DESIGN.md"} {
+		raw, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, name := range citeRE.FindAllString(string(raw), -1) {
+			if !declared[name] {
+				t.Errorf("%s cites %s, which no _test.go file declares", path, name)
+				declared[name] = true // report each name once
 			}
 		}
 	}
