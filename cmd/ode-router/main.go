@@ -45,7 +45,6 @@ func main() {
 	addr := flag.String("addr", "127.0.0.1:7047", "listen address")
 	shards := flag.String("shards", "", "comma-separated shard addresses in ring order (required)")
 	vnodes := flag.Int("vnodes", 0, "virtual nodes per shard on the hash ring (0 = default; must match the shards)")
-	streamShard := flag.Int("stream-shard", 0, "shard that receives spliced stream ops and repl.* admin ops")
 	maxReq := flag.Int("max-request", server.DefaultMaxRequestBytes, "per-request size cap in bytes")
 	dialAttempts := flag.Int("dial-attempts", 10, "backend dial attempts before giving up")
 	obsAddr := flag.String("obs-addr", "", "observability HTTP address (router metrics, /healthz, /readyz gated on shard reachability; empty = disabled)")
@@ -62,7 +61,6 @@ func main() {
 	rt, err := shard.NewRouter(ring, shard.RouterOptions{
 		Addrs:           addrs,
 		MaxRequestBytes: *maxReq,
-		StreamShard:     *streamShard,
 		Client: server.ClientOptions{
 			DialAttempts: *dialAttempts,
 			RedialBase:   50 * time.Millisecond,

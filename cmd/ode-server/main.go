@@ -31,6 +31,7 @@ import (
 	"flag"
 	"fmt"
 	"log"
+	"maps"
 	"os"
 	"os/signal"
 	"strings"
@@ -129,6 +130,7 @@ func main() {
 		MaxRequestBytes: *maxReq,
 		IdleTimeout:     *idle,
 		DrainTimeout:    *drain,
+		ExtraOps:        map[string]server.Binding{},
 	}
 	switch *protocol {
 	case "both":
@@ -191,7 +193,7 @@ func main() {
 		}
 		go fwd.Run()
 		stopShard = fwd.Stop
-		opts.ExtraOps = shard.Ops(cdb, ring, self, addrs)
+		maps.Copy(opts.ExtraOps, shard.Ops(cdb, ring, self, addrs))
 		log.Printf("shard %d of %d (peers %s)", self, len(addrs), *shardPeers)
 	case *replicaOf != "":
 		// Replica: sync the store from the primary BEFORE building the
@@ -224,35 +226,7 @@ func main() {
 		rep.AttachDatabase(cdb)
 		rep.RegisterMetrics(db.Observability())
 		opts.PrimaryAddr = *replicaOf
-		opts.ExtraOps = map[string]func(*server.Request) *server.Response{
-			repl.OpStatus: func(*server.Request) *server.Response {
-				return &server.Response{OK: true, Result: rep.Status()}
-			},
-			repl.OpPromote: func(*server.Request) *server.Response {
-				rep.Promote()
-				// A primary is ready by definition; drop the lag gate.
-				health.SetReadiness("repl_lag", nil)
-				log.Println("promoted: now accepting writes")
-				return &server.Response{OK: true, Result: rep.Status()}
-			},
-			repl.OpVerify: func(req *server.Request) *server.Response {
-				vopts := repl.VerifyOptions{Repair: req.Repair}
-				if req.Class != "" {
-					// Scope the audit to one class: the name resolves to the
-					// same catalog ID on both sides (the catalog replicates).
-					bc, ok := cdb.ClassOf(req.Class)
-					if !ok {
-						return &server.Response{Error: fmt.Sprintf("verify: unknown class %q", req.Class)}
-					}
-					vopts.Class = bc.ID
-				}
-				report, err := rep.Verify(vopts)
-				if err != nil {
-					return &server.Response{Error: err.Error(), Result: report}
-				}
-				return &server.Response{OK: true, Result: report}
-			},
-		}
+		maps.Copy(opts.ExtraOps, rep.Ops())
 		if *verifyEvery > 0 {
 			go func() {
 				for range time.Tick(*verifyEvery) {
@@ -290,19 +264,16 @@ func main() {
 		if err := db.Register(credCardClass()); err != nil {
 			log.Fatal(err)
 		}
-		// A disk primary always serves the replication stream: replicas
-		// subscribe with {"op":"repl.subscribe","lsn":N}.
-		if eosStore, ok := db.Store().(*eos.Manager); ok {
-			hub := repl.NewHub(eosStore, repl.HubOptions{})
-			hub.RegisterMetrics(db.Observability())
-			defer hub.Close()
-			opts.StreamOps = map[string]server.StreamHandler{
-				repl.OpSubscribe: hub.HandleSubscribe,
-				repl.OpRecon:     hub.HandleRecon,
-			}
-		}
 	}
 	defer db.Close()
+	// Every disk primary serves the replication stream, sharded or not:
+	// replicas subscribe with {"op":"repl.subscribe","lsn":N}.
+	if eosStore, ok := db.Store().(*eos.Manager); ok && *replicaOf == "" {
+		hub := repl.NewHub(eosStore, repl.HubOptions{})
+		hub.RegisterMetrics(db.Observability())
+		defer hub.Close()
+		maps.Copy(opts.ExtraOps, hub.Ops())
+	}
 
 	db.Tracer().SetRate(*traceRate)
 	if *obsAddr != "" {

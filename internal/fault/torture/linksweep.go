@@ -110,12 +110,7 @@ func linkIteration(dir string, cfg Config, plan *fault.NetPlan, rejoin bool) err
 	}
 	hub := repl.NewHub(pm, repl.HubOptions{PingInterval: 20 * time.Millisecond})
 	defer hub.Close()
-	srv := server.NewWithOptions(db, server.Options{
-		StreamOps: map[string]server.StreamHandler{
-			repl.OpSubscribe: hub.HandleSubscribe,
-			repl.OpRecon:     hub.HandleRecon,
-		},
-	})
+	srv := server.NewWithOptions(db, server.Options{ExtraOps: hub.Ops()})
 	defer srv.Close()
 	addr, err := srv.Listen("127.0.0.1:0")
 	if err != nil {

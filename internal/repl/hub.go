@@ -165,12 +165,18 @@ func (h *Hub) setPos(s *subscriber, pos wal.LSN) {
 	h.mu.Unlock()
 }
 
-// HandleSubscribe is the server.StreamHandler for OpSubscribe: it owns
-// the connection and ships frames until the subscriber disconnects or
-// the hub closes. Register as
-//
-//	Options.StreamOps[repl.OpSubscribe] = hub.HandleSubscribe
-func (h *Hub) HandleSubscribe(conn net.Conn, req *server.Request) error {
+// Ops binds the primary's rows of the server op table — the stream ops
+// repl.subscribe and repl.recon — for server.Options.ExtraOps.
+func (h *Hub) Ops() map[string]server.Binding {
+	return map[string]server.Binding{
+		OpSubscribe: {Stream: h.handleSubscribe},
+		OpRecon:     {Stream: h.handleRecon},
+	}
+}
+
+// handleSubscribe serves OpSubscribe: it owns the connection and ships
+// frames until the subscriber disconnects or the hub closes.
+func (h *Hub) handleSubscribe(conn net.Conn, req *server.Request) error {
 	log := h.store.Log()
 	enc := json.NewEncoder(conn)
 	dec := json.NewDecoder(conn)

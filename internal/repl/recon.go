@@ -130,12 +130,10 @@ func (h *Hub) serveRecon(conn net.Conn, enc *json.Encoder, dec *json.Decoder, cl
 	}
 }
 
-// HandleRecon is the server.StreamHandler for OpRecon: one anti-entropy
-// exchange and the connection is done. Request.ID, when non-zero, is
-// the catalog class ID scoping the exchange to one class. Register as
-//
-//	Options.StreamOps[repl.OpRecon] = hub.HandleRecon
-func (h *Hub) HandleRecon(conn net.Conn, req *server.Request) error {
+// handleRecon serves OpRecon: one anti-entropy exchange and the
+// connection is done. Request.ID, when non-zero, is the catalog class ID
+// scoping the exchange to one class.
+func (h *Hub) handleRecon(conn net.Conn, req *server.Request) error {
 	enc := json.NewEncoder(conn)
 	dec := json.NewDecoder(conn)
 	h.serveRecon(conn, enc, dec, false, uint32(req.ID))

@@ -124,19 +124,19 @@ type WireRec struct {
 	Next uint64 `json:"n"`
 }
 
-// OpSubscribe is the wire op a replica opens its stream with; register
-// the Hub's handler under this name in server.Options.StreamOps.
+// Each op name below is a row of the server op table.
+
+// OpSubscribe is the wire op a replica opens its stream with; Hub.Ops
+// binds the hub's handler to it.
 const OpSubscribe = "repl.subscribe"
 
 // OpRecon is the standalone anti-entropy stream op: one digest/symbol
 // exchange (plus optional divergent-object shipping) and the connection
-// ends. Replica.Verify drives it; register the Hub's HandleRecon under
-// this name in server.Options.StreamOps.
+// ends. Replica.Verify drives it; Hub.Ops binds the hub's handler to it.
 const OpRecon = "repl.recon"
 
-// The replica-side admin ops (ode-server registers them in
-// server.Options.ExtraOps; docs/PROTOCOL.md and docs/REPLICATION.md
-// document the request/response shapes):
+// The replica-side admin ops (Replica.Ops binds them; docs/PROTOCOL.md
+// and docs/REPLICATION.md document the request/response shapes):
 const (
 	// OpStatus reports the replica's applied LSN, lag, and primary.
 	OpStatus = "repl.status"

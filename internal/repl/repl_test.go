@@ -65,12 +65,7 @@ func startPrimary(t testing.TB, path string, cls *core.Class) *primary {
 	}
 	hub := NewHub(store, HubOptions{PingInterval: 50 * time.Millisecond})
 	hub.RegisterMetrics(db.Observability())
-	srv := server.NewWithOptions(db, server.Options{
-		StreamOps: map[string]server.StreamHandler{
-			OpSubscribe: hub.HandleSubscribe,
-			OpRecon:     hub.HandleRecon,
-		},
-	})
+	srv := server.NewWithOptions(db, server.Options{ExtraOps: hub.Ops()})
 	addr, err := srv.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -314,7 +309,7 @@ func TestReplicaReconnect(t *testing.T) {
 
 	// Listener returns on the same address.
 	srv2 := server.NewWithOptions(p.db, server.Options{
-		StreamOps: map[string]server.StreamHandler{OpSubscribe: p.hub.HandleSubscribe},
+		ExtraOps: p.hub.Ops(),
 	})
 	defer srv2.Close()
 	waitFor(t, "rebind", func() bool {

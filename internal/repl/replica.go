@@ -207,6 +207,39 @@ func (r *Replica) Status() Status {
 	}
 }
 
+// Ops binds the replica's rows of the server op table — repl.status,
+// repl.promote and repl.verify — for server.Options.ExtraOps. Serve them
+// only after AttachDatabase: repl.verify resolves its class name through
+// the attached database, whose class IDs are the primary's because the
+// catalog replicates.
+func (r *Replica) Ops() map[string]server.Binding {
+	status := func(*server.Request) *server.Response {
+		return &server.Response{OK: true, Result: r.Status()}
+	}
+	return map[string]server.Binding{
+		OpStatus: {Answer: status},
+		OpPromote: {Answer: func(req *server.Request) *server.Response {
+			r.Promote()
+			return status(req)
+		}},
+		OpVerify: {Answer: func(req *server.Request) *server.Response {
+			opts := VerifyOptions{Repair: req.Repair}
+			if req.Class != "" {
+				bc, ok := r.db.Load().ClassOf(req.Class)
+				if !ok {
+					return &server.Response{Error: fmt.Sprintf("verify: unknown class %q", req.Class)}
+				}
+				opts.Class = bc.ID
+			}
+			report, err := r.Verify(opts)
+			if err != nil {
+				return &server.Response{Error: err.Error(), Result: report}
+			}
+			return &server.Response{OK: true, Result: report}
+		}},
+	}
+}
+
 // RegisterMetrics exposes the replica's counters and gauges on a
 // registry. Names are documented in docs/OBSERVABILITY.md.
 func (r *Replica) RegisterMetrics(reg *obs.Registry) {

@@ -412,8 +412,9 @@ func (o ops) ClusterScan(cluster string) ([]uint64, error) {
 	return resp.Refs, nil
 }
 
-// Call sends an arbitrary request — the escape hatch for extension ops
-// (repl.status, repl.promote) registered through Options.ExtraOps.
+// Call sends an arbitrary request — the escape hatch for the op table's
+// deployment rows (repl.status, repl.promote) bound through
+// Options.ExtraOps.
 func (o ops) Call(req *Request) (*Response, error) { return o.c.call(req) }
 
 // Session is the op-level API every client session implements: a

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"net"
+	"strings"
 	"testing"
 	"time"
 
@@ -153,19 +154,30 @@ func TestReplicaRedirect(t *testing.T) {
 	}
 }
 
-// TestExtraAndStreamOps: extension ops dispatch before the built-ins;
-// a stream op takes the connection over.
+// TestExtraAndStreamOps: a deployment row answers through the handler
+// ExtraOps binds to it, a stream binding takes the connection over, an
+// unbound deployment row is an unknown op, and binding a name that is
+// not a deployment row of the op table panics.
 func TestExtraAndStreamOps(t *testing.T) {
+	for _, name := range []string{"x.echo", "begin"} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("binding %q did not panic", name)
+				}
+			}()
+			NewWithOptions(newTestDB(t), Options{ExtraOps: map[string]Binding{name: {}}})
+		}()
+	}
+
 	db := newTestDB(t)
 	srv := NewWithOptions(db, Options{
-		ExtraOps: map[string]func(*Request) *Response{
-			"x.echo": func(req *Request) *Response {
+		ExtraOps: map[string]Binding{
+			"repl.status": {Answer: func(req *Request) *Response {
 				return &Response{OK: true, Result: req.Event}
-			},
-			"x.boom": func(req *Request) *Response { panic("kaboom") },
-		},
-		StreamOps: map[string]StreamHandler{
-			"x.stream": func(conn net.Conn, req *Request) error {
+			}},
+			"repl.promote": {Answer: func(req *Request) *Response { panic("kaboom") }},
+			"repl.subscribe": {Stream: func(conn net.Conn, req *Request) error {
 				enc := json.NewEncoder(conn)
 				for i := uint64(0); i < 3; i++ {
 					if err := enc.Encode(&Response{OK: true, ID: req.LSN + i}); err != nil {
@@ -173,7 +185,7 @@ func TestExtraAndStreamOps(t *testing.T) {
 					}
 				}
 				return nil
-			},
+			}},
 		},
 	})
 	addr, err := srv.Listen("127.0.0.1:0")
@@ -186,16 +198,19 @@ func TestExtraAndStreamOps(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp, err := c.Call(&Request{Op: "x.echo", Event: "hello"})
+	resp, err := c.Call(&Request{Op: "repl.status", Event: "hello"})
 	if err != nil || resp.Result != "hello" {
-		t.Fatalf("x.echo = %+v, %v", resp, err)
+		t.Fatalf("repl.status = %+v, %v", resp, err)
 	}
-	// A panicking extra op answers with an error and keeps the session.
-	if _, err := c.Call(&Request{Op: "x.boom"}); err == nil {
-		t.Fatal("x.boom did not error")
+	// A panicking bound op answers with an error and keeps the session.
+	if _, err := c.Call(&Request{Op: "repl.promote"}); err == nil {
+		t.Fatal("repl.promote did not error")
 	}
-	if _, err := c.Call(&Request{Op: "x.echo", Event: "still here"}); err != nil {
-		t.Fatalf("session dead after extra-op panic: %v", err)
+	if _, err := c.Call(&Request{Op: "repl.status", Event: "still here"}); err != nil {
+		t.Fatalf("session dead after bound-op panic: %v", err)
+	}
+	if _, err := c.Call(&Request{Op: "repl.verify"}); err == nil || !strings.Contains(err.Error(), "unknown op") {
+		t.Fatalf("unbound repl.verify = %v, want unknown op", err)
 	}
 	c.Close()
 
@@ -207,7 +222,7 @@ func TestExtraAndStreamOps(t *testing.T) {
 	defer conn.Close()
 	enc := json.NewEncoder(conn)
 	dec := json.NewDecoder(bufio.NewReader(conn))
-	if err := enc.Encode(&Request{Op: "x.stream", LSN: 7}); err != nil {
+	if err := enc.Encode(&Request{Op: "repl.subscribe", LSN: 7}); err != nil {
 		t.Fatal(err)
 	}
 	for i := uint64(0); i < 3; i++ {

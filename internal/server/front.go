@@ -60,9 +60,10 @@ type ReplyFunc func(id uint64, resp *Response)
 
 // NewFront builds a connection layer whose wire counters register in
 // reg. Of opts it reads the limits (MaxRequestBytes, IdleTimeout,
-// DrainTimeout), DisableBinary and StreamOps; PrimaryAddr and ExtraOps
-// are session matters. newSession is called once per session with the
-// negotiated protocol, "json" or "binary".
+// DrainTimeout), DisableBinary and the Stream bindings in ExtraOps;
+// PrimaryAddr and the Answer bindings are session matters. newSession is
+// called once per session with the negotiated protocol, "json" or
+// "binary".
 func NewFront(reg *obs.Registry, opts Options, newSession func(proto string, reply ReplyFunc) SessionHandler) *Front {
 	if opts.MaxRequestBytes <= 0 {
 		opts.MaxRequestBytes = DefaultMaxRequestBytes
@@ -272,7 +273,7 @@ func (f *Front) decode(payload []byte) (*Request, StreamHandler, *Response) {
 	if err := json.Unmarshal(payload, req); err != nil {
 		return nil, nil, &Response{Error: "malformed request: " + err.Error()}
 	}
-	return req, f.opts.StreamOps[req.Op], nil
+	return req, f.opts.ExtraOps[req.Op].Stream, nil
 }
 
 // readLine appends the next newline-terminated request to buf and

@@ -14,15 +14,16 @@
 // (frame.go) with request IDs, pipelining, and multiplexed sessions —
 // same ops, same JSON payloads, framed instead of line-delimited.
 //
-// The package is one connection layer and two kinds of session. Front
-// (front.go, binary.go) owns everything about a connection — accept and
-// drain, the protocol sniff, both codecs, per-session FIFO, the
-// coalescing writer, limits, idle deadlines, panic isolation, wire
-// counters — and hands each session's requests to a SessionHandler. A
-// Server's handler (this file) dispatches ops against its database; the
-// shard router's (internal/shard) forwards them to the owning shard.
-// Both listen through the same Front, so a client cannot tell the two
-// apart by how the connection behaves.
+// The package is one connection layer, one op table and two kinds of
+// session. Front (front.go, binary.go) owns everything about a
+// connection — accept and drain, the protocol sniff, both codecs,
+// per-session FIFO, the coalescing writer, limits, idle deadlines, panic
+// isolation, wire counters — and hands each session's requests to a
+// SessionHandler. The op table (ops.go) declares every op once. A
+// Server's handler (this file) dispatches ops through it against its
+// database; the shard router's (internal/shard) forwards them where the
+// table routes them. Both listen through the same Front, so a client
+// cannot tell the two apart by how the connection behaves.
 //
 // Class definitions — Go functions — cannot travel over the wire; the
 // server binary links the application's classes, exactly as an Ode
@@ -41,7 +42,6 @@ import (
 
 	"ode/internal/core"
 	"ode/internal/obs"
-	"ode/internal/storage"
 	"ode/internal/txn"
 )
 
@@ -80,10 +80,11 @@ var ErrRequestTooLarge = errors.New("server: request too large")
 // binary client fails fast instead of hanging on the handshake echo.
 var ErrBinaryDisabled = errors.New("server: binary protocol disabled (server is JSON-only)")
 
-// ErrStreamOverBinary reports a StreamOps op (repl.subscribe,
-// repl.recon) sent over binary framing. Stream ops take over the raw
-// connection with their own frame grammar (docs/REPLICATION.md), which
-// cannot nest inside ODE2 frames; dial a plain JSON connection instead.
+// ErrStreamOverBinary reports a stream op (a row bound with
+// Binding.Stream: repl.subscribe, repl.recon) sent over binary framing.
+// Stream ops take over the raw connection with their own frame grammar
+// (docs/REPLICATION.md), which cannot nest inside ODE2 frames; dial a
+// plain JSON connection instead.
 var ErrStreamOverBinary = errors.New("server: stream ops require the JSON protocol")
 
 // Request is one client command.
@@ -169,14 +170,10 @@ type Options struct {
 	// Redirect whenever a request fails with core.ErrReadOnly, so
 	// clients learn where writes go without out-of-band configuration.
 	PrimaryAddr string
-	// ExtraOps adds sessionless ops (admin/introspection; the repl
-	// status and promote ops) dispatched before the built-ins. The
-	// handler runs with no transaction attached and must not retain req.
-	ExtraOps map[string]func(req *Request) *Response
-	// StreamOps adds connection-consuming ops (the repl subscribe op):
-	// after the request line the handler owns the connection and the
-	// normal request loop never resumes.
-	StreamOps map[string]StreamHandler
+	// ExtraOps binds the op table's deployment rows (shard.*, repl.*) by
+	// name: shard.Ops, repl.Hub.Ops, repl.Replica.Ops. Binding a name
+	// that is not a deployment row panics in NewWithOptions.
+	ExtraOps map[string]Binding
 	// DisableBinary refuses the ODE2 handshake (ode-server
 	// -protocol json): a client attempting the upgrade gets
 	// ErrBinaryDisabled as a JSON response line and the connection is
@@ -194,8 +191,14 @@ type Server struct {
 // New wraps db in a server with default options.
 func New(db *core.Database) *Server { return NewWithOptions(db, Options{}) }
 
-// NewWithOptions wraps db in a server with explicit hardening limits.
+// NewWithOptions wraps db in a server with explicit hardening limits and
+// deployment bindings.
 func NewWithOptions(db *core.Database, opts Options) *Server {
+	for name := range opts.ExtraOps {
+		if op, ok := opIndex[name]; !ok || op.handle != nil {
+			panic(fmt.Sprintf("server: ExtraOps binds %q, which is not a deployment row of the op table", name))
+		}
+	}
 	s := &Server{opts: opts}
 	s.front = NewFront(db.Observability(), opts, func(proto string, _ ReplyFunc) SessionHandler {
 		return &session{srv: s, db: db, proto: proto}
@@ -228,13 +231,25 @@ type session struct {
 	proto string // negotiated transport, "json" or "binary" (the proto op reports it)
 }
 
-// Handle implements SessionHandler. ExtraOps are sessionless and
-// dispatched before the built-ins.
+// Handle implements SessionHandler through the op table: a built-in row
+// runs against the database once the session's transaction meets the
+// row's need; a deployment row runs the Answer bound to it, sessionless.
 func (sess *session) Handle(_ uint64, req *Request) *Response {
-	if fn, ok := sess.srv.opts.ExtraOps[req.Op]; ok {
-		return fn(req)
+	op, ok := opIndex[req.Op]
+	if !ok || op.handle == nil {
+		if answer := sess.srv.opts.ExtraOps[req.Op].Answer; answer != nil {
+			return answer(req)
+		}
+		return sess.fail(fmt.Errorf("unknown op %q", req.Op))
 	}
-	return sess.handle(req)
+	if err := sess.need(op.tx); err != nil {
+		return sess.fail(err)
+	}
+	resp, err := op.handle(sess, req)
+	if err != nil {
+		return sess.fail(err)
+	}
+	return resp
 }
 
 // Drain implements SessionHandler; nothing is ever deferred.
@@ -255,8 +270,8 @@ func (sess *session) fail(err error) *Response {
 	r := &Response{Error: err.Error()}
 	if errors.Is(err, core.ErrSnapshotWrite) {
 		// One wire message for every snapshot-write rejection, whether
-		// the session gate caught it (needWriteTx) or the engine did
-		// (invoke of a mutating method).
+		// the session gate caught it (need) or the engine did (invoke of
+		// a mutating method).
 		r.Error = ErrSnapshotWrite.Error()
 	}
 	if errors.Is(err, txn.ErrAborted) {
@@ -268,195 +283,19 @@ func (sess *session) fail(err error) *Response {
 	return r
 }
 
-// handle dispatches one request.
-func (sess *session) handle(req *Request) *Response {
-	switch req.Op {
-	case "begin":
-		if sess.tx != nil && sess.tx.State() == txn.Active {
-			return sess.fail(errors.New("transaction already open"))
-		}
-		if req.Snapshot {
-			tx, err := sess.db.BeginSnapshot()
-			if err != nil {
-				return sess.fail(err)
-			}
-			sess.tx = tx
-			return &Response{OK: true}
-		}
-		sess.tx = sess.db.Begin()
-		return &Response{OK: true}
-	case "commit":
-		if err := sess.needTx(); err != nil {
-			return sess.fail(err)
-		}
-		err := sess.tx.Commit()
-		sess.tx = nil
-		if err != nil {
-			return sess.fail(err)
-		}
-		return &Response{OK: true}
-	case "abort":
-		if err := sess.needTx(); err != nil {
-			return sess.fail(err)
-		}
-		err := sess.tx.Abort()
-		sess.tx = nil
-		if err != nil {
-			return sess.fail(err)
-		}
-		return &Response{OK: true}
-	case "create":
-		if err := sess.needWriteTx(); err != nil {
-			return sess.fail(err)
-		}
-		bc, ok := sess.db.ClassOf(req.Class)
-		if !ok {
-			return sess.fail(fmt.Errorf("unknown class %q", req.Class))
-		}
-		val := bc.Def.NewInstance()
-		if len(req.Value) > 0 {
-			if err := json.Unmarshal(req.Value, val); err != nil {
-				return sess.fail(fmt.Errorf("decode value: %w", err))
-			}
-		}
-		ref, err := sess.db.Create(sess.tx, req.Class, val)
-		if err != nil {
-			return sess.fail(err)
-		}
-		return &Response{OK: true, Ref: uint64(ref.OID())}
-	case "get":
-		if err := sess.needTx(); err != nil {
-			return sess.fail(err)
-		}
-		v, err := sess.db.Get(sess.tx, core.RefFromOID(storage.OID(req.Ref)))
-		if err != nil {
-			return sess.fail(err)
-		}
-		raw, err := json.Marshal(v)
-		if err != nil {
-			return sess.fail(err)
-		}
-		return &Response{OK: true, Value: raw}
-	case "invoke":
-		if err := sess.needTx(); err != nil {
-			return sess.fail(err)
-		}
-		ret, err := sess.db.Invoke(sess.tx, core.RefFromOID(storage.OID(req.Ref)), req.Method, req.Args...)
-		if err != nil {
-			return sess.fail(err)
-		}
-		return &Response{OK: true, Result: ret}
-	case "post":
-		if err := sess.needWriteTx(); err != nil {
-			return sess.fail(err)
-		}
-		if err := sess.db.PostUserEvent(sess.tx, core.RefFromOID(storage.OID(req.Ref)), req.Event); err != nil {
-			return sess.fail(err)
-		}
-		return &Response{OK: true}
-	case "activate":
-		if err := sess.needWriteTx(); err != nil {
-			return sess.fail(err)
-		}
-		id, err := sess.db.Activate(sess.tx, core.RefFromOID(storage.OID(req.Ref)), req.Trigger, req.Args...)
-		if err != nil {
-			return sess.fail(err)
-		}
-		return &Response{OK: true, ID: uint64(id.OID())}
-	case "deactivate":
-		if err := sess.needWriteTx(); err != nil {
-			return sess.fail(err)
-		}
-		id := core.TriggerIDFromOID(storage.OID(req.ID))
-		if err := sess.db.Deactivate(sess.tx, id); err != nil {
-			return sess.fail(err)
-		}
-		return &Response{OK: true}
-	case "triggers":
-		if err := sess.needTx(); err != nil {
-			return sess.fail(err)
-		}
-		infos, err := sess.db.ActiveTriggers(sess.tx, core.RefFromOID(storage.OID(req.Ref)))
-		if err != nil {
-			return sess.fail(err)
-		}
-		raw, err := json.Marshal(infos)
-		if err != nil {
-			return sess.fail(err)
-		}
-		return &Response{OK: true, Value: raw}
-	case "clusteradd":
-		if err := sess.needWriteTx(); err != nil {
-			return sess.fail(err)
-		}
-		if err := sess.db.ClusterAdd(sess.tx, req.Cluster, core.RefFromOID(storage.OID(req.Ref))); err != nil {
-			return sess.fail(err)
-		}
-		return &Response{OK: true}
-	case "scan":
-		if err := sess.needTx(); err != nil {
-			return sess.fail(err)
-		}
-		var refs []uint64
-		err := sess.db.ClusterScan(sess.tx, req.Cluster, func(r core.Ref) error {
-			refs = append(refs, uint64(r.OID()))
-			return nil
-		})
-		if err != nil {
-			return sess.fail(err)
-		}
-		return &Response{OK: true, Refs: refs}
-	case "metrics":
-		// The full observability snapshot: every registered counter and
-		// histogram (docs/OBSERVABILITY.md documents each name), tagged
-		// with this node's provenance label so merged fleet views stay
-		// attributable. No transaction needed.
-		return &Response{OK: true, Result: obs.TagMetrics(sess.nodeLabel(), sess.db.Observability().Snapshot())}
-	case "trace":
-		// Export the firing-trace ring, oldest first, node-tagged.
-		// rate > 0 first sets 1-in-rate sampling (1 = every posting),
-		// rate -1 disables tracing, rate 0 leaves the current rate
-		// untouched. Anything else — other negatives, rates past
-		// MaxTraceRate — used to silently misconfigure the sampler; now
-		// it is a typed error.
-		if resp := sess.applyTraceRate(req.Rate); resp != nil {
-			return resp
-		}
-		return &Response{OK: true, Result: obs.TagTraces(sess.nodeLabel(), sess.db.Tracer().Snapshot())}
-	case "trace.rate":
-		// Set (or just read, rate 0) the sampling rate without paying for
-		// a ring snapshot, and ack with this node's resulting rate. The
-		// router broadcasts it to every shard and reports per-shard acks.
-		if resp := sess.applyTraceRate(req.Rate); resp != nil {
-			return resp
-		}
-		return &Response{OK: true, Result: TraceRateAck{Node: sess.nodeLabel(), Rate: sess.db.Tracer().Rate()}}
-	case "trace.chain":
-		// Serve the cause-chain view: raw → this node's flat chain
-		// events (traces, cause-carrying incidents, outbox hops);
-		// otherwise the tree assembled for req.Cause. The router fans the
-		// raw form out to every shard and assembles fleet-wide.
-		evs := chainEvents(sess.db)
-		if req.Raw {
-			return &Response{OK: true, Result: ChainEvents{Events: evs}}
-		}
-		if _, ok := obs.ParseCause(req.Cause); !ok {
-			return sess.fail(fmt.Errorf("%w: got %q", ErrInvalidChainCause, req.Cause))
-		}
-		return &Response{OK: true, Result: obs.AssembleChain(req.Cause, evs)}
-	case "flight":
-		// Export the process-wide flight recorder's ring, oldest first,
-		// tagged with the serving node's label. No transaction needed;
-		// the recorder is always on.
-		return &Response{OK: true, Result: obs.TagIncidents(sess.nodeLabel(), obs.Flight().Snapshot())}
-	case "proto":
-		// Report the transport this very connection negotiated plus the
-		// front's wire counters (ode-inspect -wire). No transaction
-		// needed.
-		return &Response{OK: true, Result: sess.srv.front.ProtoStatus(sess.proto)}
-	default:
-		return sess.fail(fmt.Errorf("unknown op %q", req.Op))
+// need checks the session's transaction against a row's txNeed. The
+// snapshot gate rejects mutating ops up front with the typed error,
+// rather than leaking the txn-layer refusal from deeper in the call.
+func (sess *session) need(n txNeed) error {
+	switch {
+	case n == noTx:
+		return nil
+	case sess.tx == nil || sess.tx.State() != txn.Active:
+		return errors.New("no open transaction (send begin first)")
+	case n == writeTx && sess.tx.IsSnapshot():
+		return ErrSnapshotWrite
 	}
+	return nil
 }
 
 // nodeLabel is the serving database's provenance node rendered in the
@@ -466,9 +305,12 @@ func (sess *session) nodeLabel() string {
 	return obs.NodeLabel(sess.db.Causes().Node())
 }
 
-// applyTraceRate applies the shared trace/trace.rate rate grammar,
-// returning a failure response for invalid rates and nil on success.
-func (sess *session) applyTraceRate(rate int64) *Response {
+// applyTraceRate applies the shared trace/trace.rate rate grammar: rate
+// > 0 sets 1-in-rate sampling (1 = every posting), -1 disables tracing,
+// 0 leaves the rate untouched. Anything else — other negatives, rates
+// past MaxTraceRate — is a typed error rather than a silently
+// misconfigured sampler.
+func (sess *session) applyTraceRate(rate int64) error {
 	switch {
 	case rate == 0:
 	case rate == -1:
@@ -476,7 +318,7 @@ func (sess *session) applyTraceRate(rate int64) *Response {
 	case rate > 0 && rate <= MaxTraceRate:
 		sess.db.Tracer().SetRate(uint64(rate))
 	default:
-		return sess.fail(fmt.Errorf("%w: got %d", ErrInvalidTraceRate, rate))
+		return fmt.Errorf("%w: got %d", ErrInvalidTraceRate, rate)
 	}
 	return nil
 }
@@ -530,39 +372,4 @@ type ProtoStatus struct {
 	FramesOut       uint64 `json:"frames_out"`
 	BytesIn         uint64 `json:"bytes_in"`
 	BytesOut        uint64 `json:"bytes_out"`
-}
-
-// BuiltinOps returns the name of every op the session dispatcher
-// handles, sorted. It exists so the protocol doc-coverage test (and any
-// future introspection surface) enumerates the real dispatch table
-// instead of a hand-maintained copy; adding a case to handle() without
-// extending this list fails TestBuiltinOpsComplete.
-func BuiltinOps() []string {
-	return []string{
-		"abort", "activate", "begin", "clusteradd", "commit", "create",
-		"deactivate", "flight", "get", "invoke", "metrics", "post",
-		"proto", "scan", "trace", "trace.chain", "trace.rate", "triggers",
-	}
-}
-
-func (sess *session) needTx() error {
-	if sess.tx == nil || sess.tx.State() != txn.Active {
-		return errors.New("no open transaction (send begin first)")
-	}
-	return nil
-}
-
-// needWriteTx is needTx plus the snapshot gate: mutating ops are
-// rejected up front on a snapshot session with the typed error, rather
-// than leaking the txn-layer refusal from deeper in the call. (invoke is
-// not gated here — read-only methods are legal on a snapshot, and the
-// engine rejects mutators itself.)
-func (sess *session) needWriteTx() error {
-	if err := sess.needTx(); err != nil {
-		return err
-	}
-	if sess.tx.IsSnapshot() {
-		return ErrSnapshotWrite
-	}
-	return nil
 }

@@ -5,7 +5,6 @@ import (
 	"bytes"
 	"errors"
 	"io"
-	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -324,29 +323,6 @@ func TestMuxConcurrentSessions(t *testing.T) {
 		}
 	}
 	check.Abort()
-}
-
-// TestBuiltinOpsComplete pins BuiltinOps to the dispatcher: every
-// listed op must be accepted (not "unknown op"), and the known
-// dispatch-table size must match, so adding a case to handle() without
-// updating BuiltinOps fails here.
-func TestBuiltinOpsComplete(t *testing.T) {
-	addr, _ := startWireServer(t, Options{})
-	c, err := Dial(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	for _, op := range BuiltinOps() {
-		_, err := c.Call(&Request{Op: op})
-		if err != nil && strings.Contains(err.Error(), "unknown op") {
-			t.Fatalf("BuiltinOps lists %q but the dispatcher rejects it", op)
-		}
-	}
-	if _, err := c.Call(&Request{Op: "definitely-not-an-op"}); err == nil ||
-		!strings.Contains(err.Error(), "unknown op") {
-		t.Fatalf("sentinel unknown op = %v", err)
-	}
 }
 
 // FuzzFrameDecode feeds arbitrary bytes through readFrame, the reader

@@ -1,6 +1,7 @@
 package shard
 
 import (
+	"maps"
 	"net"
 	"testing"
 	"time"
@@ -89,8 +90,9 @@ type clusterConfig struct {
 	// maxRequest, when set, is every front's MaxRequestBytes (shards and
 	// router alike).
 	maxRequest int
-	// streamOps, when set, is registered on every shard server.
-	streamOps map[string]server.StreamHandler
+	// bind, when set, is bound on every shard server beside the shard
+	// ops.
+	bind map[string]server.Binding
 }
 
 // startCluster boots n shard servers (and a router unless told not to),
@@ -113,11 +115,9 @@ func startCluster(t *testing.T, n int, cfg clusterConfig) *testCluster {
 		if err := db.EnableSharding(ring.OIDFilter(i)); err != nil {
 			t.Fatal(err)
 		}
-		srv := server.NewWithOptions(db, server.Options{
-			ExtraOps:        Ops(db, ring, i, c.addrs),
-			MaxRequestBytes: cfg.maxRequest,
-			StreamOps:       cfg.streamOps,
-		})
+		ops := Ops(db, ring, i, c.addrs)
+		maps.Copy(ops, cfg.bind)
+		srv := server.NewWithOptions(db, server.Options{ExtraOps: ops, MaxRequestBytes: cfg.maxRequest})
 		addr, err := srv.Listen("127.0.0.1:0")
 		if err != nil {
 			t.Fatal(err)

@@ -239,17 +239,17 @@ func (f *Forwarder) trimThrough(entries []core.OutboxEntry, wm uint64) error {
 	return nil
 }
 
-// Ops returns the sessionless server ops a shard registers so its peers
+// Ops binds the shard rows of the server op table, so a shard's peers
 // and its router can reach it:
 //
 //   - shard.ingest: apply a batch of remote event notifications,
 //     answering with the per-origin watermark (the ack).
 //   - shard.status: report this shard's view of the topology.
 //
-// Register them in server.Options.ExtraOps.
-func Ops(db *core.Database, ring *Ring, self int, addrs []string) map[string]func(*server.Request) *server.Response {
-	return map[string]func(*server.Request) *server.Response{
-		"shard.ingest": func(req *server.Request) *server.Response {
+// Pass them in server.Options.ExtraOps.
+func Ops(db *core.Database, ring *Ring, self int, addrs []string) map[string]server.Binding {
+	return map[string]server.Binding{
+		"shard.ingest": {Answer: func(req *server.Request) *server.Response {
 			if req.Origin == 0 {
 				return &server.Response{Error: "shard.ingest: missing origin"}
 			}
@@ -258,8 +258,8 @@ func Ops(db *core.Database, ring *Ring, self int, addrs []string) map[string]fun
 				return &server.Response{Error: err.Error()}
 			}
 			return &server.Response{OK: true, Watermark: wm}
-		},
-		"shard.status": func(req *server.Request) *server.Response {
+		}},
+		"shard.status": {Answer: func(req *server.Request) *server.Response {
 			st := Status{
 				Shards:           ring.Shards(),
 				Vnodes:           ring.Vnodes(),
@@ -274,7 +274,7 @@ func Ops(db *core.Database, ring *Ring, self int, addrs []string) map[string]fun
 				return &server.Response{Error: err.Error()}
 			}
 			return &server.Response{OK: true, Value: raw}
-		},
+		}},
 	}
 }
 

@@ -10,36 +10,26 @@ import (
 // FuzzRouteRequest mirrors the wire layer's FuzzFrameDecode one level
 // up: an arbitrary request — any op string, any field soup a JSON or
 // ODE2 payload can decode into — must produce exactly one routing
-// decision. No panic, no out-of-range destination, and every
-// non-forwardable request carries a typed error; a request is never
-// double-forwarded because the decision space is a single Route value.
+// decision. No panic, no out-of-range destination, and every refused
+// request carries a typed error; a request is never double-forwarded
+// because the decision space is a single value. The corpus holds one
+// request per row of the op table, plus malformed ones.
 func FuzzRouteRequest(f *testing.F) {
-	seeds := []string{
-		`{"op":"begin"}`,
-		`{"op":"begin","snapshot":true}`,
-		`{"op":"create","class":"Doc","value":{"Audits":1}}`,
-		`{"op":"get","ref":18}`,
+	for _, op := range server.OpTable() {
+		seed, err := json.Marshal(sampleRequest(op.Name))
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(seed, 4)
+	}
+	for _, s := range []string{
 		`{"op":"invoke","ref":18446744073709551615,"method":"Bump"}`,
 		`{"op":"post","ref":0,"event":"First"}`,
-		`{"op":"deactivate","id":20}`,
-		`{"op":"scan","cluster":"alldocs"}`,
-		`{"op":"commit"}`,
-		`{"op":"proto"}`,
-		`{"op":"metrics"}`,
-		`{"op":"trace","rate":-1}`,
-		`{"op":"flight"}`,
-		`{"op":"shard.status"}`,
-		`{"op":"shard.ingest","origin":1,"events":[{"seq":1,"node":1,"target":19,"event":"First"}]}`,
-		`{"op":"repl.subscribe","lsn":7}`,
-		`{"op":"repl.recon"}`,
-		`{"op":"repl.verify","repair":true}`,
-		`{"op":"repl.promote"}`,
 		`{"op":""}`,
 		`{"op":"nonsense","ref":99}`,
 		`{"not":"a request"}`,
 		`garbage`,
-	}
-	for _, s := range seeds {
+	} {
 		f.Add([]byte(s), 4)
 	}
 	f.Fuzz(func(t *testing.T, data []byte, shards int) {
@@ -55,30 +45,27 @@ func FuzzRouteRequest(f *testing.F) {
 			// with the zero request below.
 			req = server.Request{}
 		}
-		r := routeOf(ring, &req)
-		switch r.Kind {
-		case routeLocal, routeCreate, routeAll, routeStream:
-			if r.Err != nil {
-				t.Fatalf("op %q: kind %d carries unexpected error %v", req.Op, r.Kind, r.Err)
+		op, dest := routeOf(ring, &req)
+		switch op.Route {
+		case server.RouteRef, server.RouteID:
+			if dest < 0 || dest >= ring.Shards() {
+				t.Fatalf("op %q: destination %d out of range for %d shards", req.Op, dest, ring.Shards())
 			}
-		case routeOne:
-			// -1 is the repl.* placeholder resolved to StreamShard at
-			// dispatch; anything else must be a real ring slot.
-			if r.Dest != -1 && (r.Dest < 0 || r.Dest >= ring.Shards()) {
-				t.Fatalf("op %q: destination %d out of range for %d shards", req.Op, r.Dest, ring.Shards())
-			}
-		case routeReject:
-			if r.Err == nil {
+		case server.RouteLocal, server.RouteCreate, server.RouteFanout:
+		case server.RouteReject:
+			if op.Reject == nil {
 				t.Fatalf("op %q: rejected without a typed error", req.Op)
 			}
 		default:
-			t.Fatalf("op %q: unknown route kind %d", req.Op, r.Kind)
+			t.Fatalf("op %q: unknown route %d", req.Op, op.Route)
+		}
+		if op.Route != server.RouteReject && op.Reject != nil {
+			t.Fatalf("op %q: route %d carries unexpected error %v", req.Op, op.Route, op.Reject)
 		}
 		// Determinism: the same request routes the same way twice (a
 		// request is forwarded at most once, to one place).
-		r2 := routeOf(ring, &req)
-		if r.Kind != r2.Kind || r.Dest != r2.Dest {
-			t.Fatalf("op %q: unstable route (%v,%d) vs (%v,%d)", req.Op, r.Kind, r.Dest, r2.Kind, r2.Dest)
+		if op2, dest2 := routeOf(ring, &req); op.Route != op2.Route || dest != dest2 {
+			t.Fatalf("op %q: unstable route (%d,%d) vs (%d,%d)", req.Op, op.Route, dest, op2.Route, dest2)
 		}
 	})
 }

@@ -98,6 +98,9 @@ func (r *Ring) Vnodes() int { return r.vnodes }
 // reports the conventional answer 0 for them — callers that care use
 // IsSystem first.
 func (r *Ring) Owner(oid uint64) int {
+	if IsSystem(oid) {
+		return 0
+	}
 	key := mix64(oid ^ oidSalt)
 	// First ring point at or after the key, wrapping.
 	i := sort.Search(len(r.points), func(i int) bool { return r.points[i].hash >= key })

@@ -104,6 +104,16 @@ func TestRingSystemOIDsLocal(t *testing.T) {
 			}
 		}
 	}
+	// System OIDs are never routed: Owner reports the conventional shard
+	// 0 for them at every fleet size instead of hashing them.
+	for n := 1; n <= 8; n++ {
+		ring := MustRing(n, DefaultVnodes)
+		for oid := uint64(0); oid < FirstUserOIDForTest; oid++ {
+			if got := ring.Owner(oid); got != 0 {
+				t.Fatalf("%d shards: system oid %d owned by shard %d, want 0", n, oid, got)
+			}
+		}
+	}
 	// User OIDs: exactly one shard may mint each.
 	for _, oid := range corpus(1000) {
 		owners := 0

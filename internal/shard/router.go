@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net"
 	"sort"
 	"strings"
@@ -18,11 +17,11 @@ import (
 // Router fronts a shard fleet with the same connection layer a server
 // listens with (server.Front: both protocols, the same limits, the same
 // oversize/malformed/close handling); only what a session does with a
-// request differs — an rsession forwards each op to the shard that owns
-// it and relays the shard's reply verbatim, aborted and redirect
-// included. The client-visible contract is the single-server one — same
-// ops, same JSON payloads, same session model — with documented
-// deviations (docs/SHARDING.md):
+// request differs — an rsession sends each op where its row of the
+// server op table routes it and relays the shard's reply verbatim,
+// aborted and redirect included. The client-visible contract is the
+// single-server one — same ops, same JSON payloads, same session model —
+// with documented deviations (docs/SHARDING.md):
 //
 //   - A transaction that touches several shards commits per shard, in
 //     shard order, not atomically: a crash mid-commit can land a prefix.
@@ -30,9 +29,8 @@ import (
 //     fan out to every shard and answer with the merged, node-tagged
 //     fleet view (metrics folds in the router's own registry and a
 //     "fleet" aggregate; docs/OBSERVABILITY.md §"Fleet observability").
-//   - Stream ops splice to StreamShard on the JSON protocol and fail
-//     with ErrStreamOverBinary on binary framing, exactly as a single
-//     server would.
+//   - repl.* and shard.ingest are refused with a typed error: a shard is
+//     replicated, and fed remote events, by dialing it directly.
 //
 // Backends are one Mux per shard: every front session maps to a lazily
 // created MuxSession per shard it touches, so backend connections are
@@ -48,7 +46,6 @@ type Router struct {
 	requests *obs.Counter
 	fanouts  *obs.Counter
 	rejects  *obs.Counter
-	streams  *obs.Counter
 
 	routeNs   *obs.Histogram
 	forwardNs *obs.Histogram
@@ -64,19 +61,9 @@ type RouterOptions struct {
 	// MaxRequestBytes caps one front request. Default
 	// server.DefaultMaxRequestBytes.
 	MaxRequestBytes int
-	// StreamShard receives spliced JSON stream connections
-	// (repl.subscribe, repl.recon) and repl.* admin ops. Default 0.
-	StreamShard int
-	// DialTimeout bounds the stream-splice backend dial. Default 5s.
-	DialTimeout time.Duration
 }
 
-// ErrIngestViaRouter rejects a shard.ingest sent through the router:
-// the op is shard-to-shard (each batch is bound to one origin/owner
-// pair) and cannot be meaningfully split by a relay.
-var ErrIngestViaRouter = errors.New("shard: shard.ingest must be sent to the owning shard directly, not through the router")
-
-// ErrUnknownOp rejects an op the router has no routing rule for.
+// ErrUnknownOp rejects an op that is not a row of the server op table.
 var ErrUnknownOp = errors.New("shard: unknown op")
 
 // NewRouter dials the backend muxes and returns a router ready to
@@ -85,17 +72,8 @@ func NewRouter(ring *Ring, opts RouterOptions) (*Router, error) {
 	if len(opts.Addrs) != ring.Shards() {
 		return nil, fmt.Errorf("shard: %d addrs for %d shards", len(opts.Addrs), ring.Shards())
 	}
-	if opts.StreamShard < 0 || opts.StreamShard >= ring.Shards() {
-		return nil, fmt.Errorf("shard: stream shard %d out of range", opts.StreamShard)
-	}
-	if opts.DialTimeout <= 0 {
-		opts.DialTimeout = 5 * time.Second
-	}
 	rt := &Router{ring: ring, opts: opts, reg: obs.NewRegistry()}
-	rt.front = server.NewFront(rt.reg, server.Options{
-		MaxRequestBytes: opts.MaxRequestBytes,
-		StreamOps:       map[string]server.StreamHandler{"repl.subscribe": rt.splice, "repl.recon": rt.splice},
-	}, func(proto string, reply server.ReplyFunc) server.SessionHandler {
+	rt.front = server.NewFront(rt.reg, server.Options{MaxRequestBytes: opts.MaxRequestBytes}, func(proto string, reply server.ReplyFunc) server.SessionHandler {
 		return &rsession{
 			rt:       rt,
 			proto:    proto,
@@ -107,7 +85,6 @@ func NewRouter(ring *Ring, opts RouterOptions) (*Router, error) {
 	rt.requests = rt.reg.Counter("shard.route_requests", "count", "client requests routed to a shard")
 	rt.fanouts = rt.reg.Counter("shard.route_fanouts", "count", "requests fanned out to every shard")
 	rt.rejects = rt.reg.Counter("shard.route_rejects", "count", "requests rejected at the router (typed error)")
-	rt.streams = rt.reg.Counter("shard.route_streams", "count", "stream connections spliced to a shard")
 	rt.routeNs = rt.reg.Histogram("router.route_ns", "ns", "time to classify a request and ready its backend (lazy transaction join included)")
 	rt.forwardNs = rt.reg.Histogram("router.forward_ns", "ns", "time from issuing a forwarded call to settling its response (a pipelined batch settles together)")
 	rt.mergeNs = rt.reg.Histogram("router.merge_ns", "ns", "time to merge a fan-out's responses into the fleet view")
@@ -144,57 +121,23 @@ func (rt *Router) Close() error {
 
 // --- routing decisions --------------------------------------------------------
 
-// routeKind classifies where one request goes.
-type routeKind int
-
-const (
-	routeLocal  routeKind = iota // answered at the router
-	routeOne                     // exactly one shard: Route.Dest
-	routeCreate                  // one shard, chosen round-robin at dispatch
-	routeAll                     // fan-out to every shard, merge
-	routeStream                  // stream op: splice (JSON) or typed error (binary)
-	routeReject                  // typed error: Route.Err
-)
-
-// Route is one routing decision. Exactly one decision exists per
-// request — routeOf is a pure function of (ring, request) — which is
+// routeOf looks req's op up in the server op table and returns its row
+// — an op that is no row comes back as a reject carrying ErrUnknownOp —
+// plus, for the owner routes, the owning shard. Pure: no router state,
+// no side effects. Exactly one decision exists per request, which is
 // what FuzzRouteRequest leans on: no panic, no double-forward, dest
 // always in range.
-type Route struct {
-	Kind routeKind
-	Dest int
-	Err  error
-}
-
-// routeOf classifies req. Pure: no router state, no side effects.
-func routeOf(ring *Ring, req *server.Request) Route {
-	switch req.Op {
-	case "begin", "commit", "abort", "proto":
-		return Route{Kind: routeLocal}
-	case "create":
-		return Route{Kind: routeCreate}
-	case "get", "invoke", "post", "activate", "triggers", "clusteradd":
-		return Route{Kind: routeOne, Dest: ring.Owner(req.Ref)}
-	case "deactivate":
-		// Trigger-state objects are minted by the anchor's shard, so
-		// the trigger id's OID routes like any other ref.
-		return Route{Kind: routeOne, Dest: ring.Owner(req.ID)}
-	case "scan":
-		return Route{Kind: routeAll}
-	case "metrics", "trace", "flight", "trace.rate", "trace.chain", "shard.status":
-		// The fleet observability plane: every shard answers, the router
-		// merges (and contributes its own registry / flight ring).
-		return Route{Kind: routeAll}
-	case "shard.ingest":
-		return Route{Kind: routeReject, Err: ErrIngestViaRouter}
-	case "repl.subscribe", "repl.recon":
-		return Route{Kind: routeStream}
-	default:
-		if strings.HasPrefix(req.Op, "repl.") {
-			return Route{Kind: routeOne, Dest: -1} // resolved to StreamShard at dispatch
-		}
-		return Route{Kind: routeReject, Err: fmt.Errorf("%w %q", ErrUnknownOp, req.Op)}
+func routeOf(ring *Ring, req *server.Request) (op server.Op, dest int) {
+	op, ok := server.LookupOp(req.Op)
+	switch {
+	case !ok:
+		op = server.Op{Name: req.Op, Route: server.RouteReject, Reject: fmt.Errorf("%w %q", ErrUnknownOp, req.Op)}
+	case op.Route == server.RouteRef:
+		dest = ring.Owner(req.Ref)
+	case op.Route == server.RouteID:
+		dest = ring.Owner(req.ID)
 	}
+	return op, dest
 }
 
 // --- per-session dispatch -----------------------------------------------------
@@ -306,33 +249,27 @@ func (s *rsession) enter(d int) (*server.MuxSession, *server.Response) {
 // answered on the spot.
 func (s *rsession) Handle(id uint64, req *server.Request) *server.Response {
 	rt := s.rt
-	r := routeOf(rt.ring, req)
-	if r.Kind != routeOne && r.Kind != routeCreate {
+	op, d := routeOf(rt.ring, req)
+	if op.Route != server.RouteRef && op.Route != server.RouteID && op.Route != server.RouteCreate {
 		// Transaction boundaries, fan-outs, local ops, and typed refusals
 		// observe every forwarded response first.
 		s.Drain()
 	}
-	d := r.Dest
-	switch r.Kind {
-	case routeLocal:
+	switch op.Route {
+	case server.RouteLocal:
 		return s.handleLocal(req)
-	case routeAll:
+	case server.RouteFanout:
 		rt.fanouts.Add(1)
 		return s.fanout(req)
-	case routeReject:
-		rt.rejects.Add(1)
-		return &server.Response{Error: r.Err.Error()}
-	case routeCreate:
+	case server.RouteCreate:
 		d = int(rt.rr.Add(1)) % rt.ring.Shards()
-	case routeOne:
-		if d < 0 {
-			d = rt.opts.StreamShard // repl.* admin ops
-		}
+	case server.RouteRef, server.RouteID:
 	default:
-		// routeStream never gets here: the front splices stream ops on
-		// JSON and refuses them on binary before any session sees them.
 		rt.rejects.Add(1)
-		return &server.Response{Error: fmt.Sprintf("shard: unroutable op %q", req.Op)}
+		if op.Reject == nil {
+			return &server.Response{Error: fmt.Sprintf("shard: unroutable op %q", req.Op)}
+		}
+		return &server.Response{Error: op.Reject.Error()}
 	}
 	rt.requests.Add(1)
 	t0 := time.Now()
@@ -608,28 +545,4 @@ func (s *rsession) handleLocal(req *server.Request) *server.Response {
 		return &server.Response{OK: true, Result: s.rt.front.ProtoStatus(s.proto)}
 	}
 	return &server.Response{Error: fmt.Sprintf("shard: unroutable local op %q", req.Op)}
-}
-
-// --- stream ops --------------------------------------------------------------
-
-// splice is the router's server.StreamHandler: the stream shard's
-// handler owns the conversation from here on, so the router's part is
-// to connect the front conn to that shard, replay the request line, and
-// copy bytes both ways until either side hangs up.
-func (rt *Router) splice(conn net.Conn, req *server.Request) error {
-	rt.streams.Add(1)
-	back, err := net.DialTimeout("tcp", rt.opts.Addrs[rt.opts.StreamShard], rt.opts.DialTimeout)
-	if err != nil {
-		return fmt.Errorf("shard: splice to shard %d: %v", rt.opts.StreamShard, err)
-	}
-	defer back.Close()
-	if err := json.NewEncoder(back).Encode(req); err != nil {
-		return err
-	}
-	done := make(chan struct{}, 2) // one send per copier below
-	go func() { io.Copy(back, conn); back.Close(); done <- struct{}{} }()
-	go func() { io.Copy(conn, back); conn.Close(); done <- struct{}{} }()
-	<-done
-	<-done
-	return nil
 }

@@ -1,10 +1,7 @@
 package shard
 
 import (
-	"bufio"
 	"encoding/json"
-	"fmt"
-	"net"
 	"strings"
 	"testing"
 	"time"
@@ -216,59 +213,20 @@ func TestRouterShardStatus(t *testing.T) {
 func TestRouterRejectsIngest(t *testing.T) {
 	c := startCluster(t, 2, clusterConfig{})
 	for _, binary := range []bool{false, true} {
-		cl, err := server.DialOptions(c.raddr, server.ClientOptions{Binary: binary})
-		if err != nil {
-			t.Fatal(err)
-		}
-		_, err = cl.Call(&server.Request{Op: "shard.ingest", Origin: 1})
-		if err == nil || !strings.Contains(err.Error(), ErrIngestViaRouter.Error()) {
-			t.Fatalf("binary=%v: shard.ingest through router = %v, want ErrIngestViaRouter", binary, err)
-		}
-		cl.Close()
+		refusedKeepsConn(t, c.raddr, binary, "shard.ingest", server.ErrIngestViaRouter)
 	}
 }
 
-// TestRouterStreamOps (satellite): stream ops through the router fail
-// with the server's exact typed error on binary framing and pass
-// through to a shard on JSON — on both protocols, the single-server
-// contract survives the extra hop.
+// TestRouterStreamOps: repl.* ops — the stream ops and the replica
+// admin ops alike — are refused at the router with the typed
+// ErrReplViaRouter on both protocols, inside a transaction too, and the
+// connection keeps serving: a replica dials the shard it follows.
 func TestRouterStreamOps(t *testing.T) {
 	c := startCluster(t, 2, clusterConfig{})
-
-	// Binary: typed refusal, connection stays usable.
-	mux, err := server.DialMux(c.raddr, server.ClientOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := mux.Session()
-	_, err = s.Call(&server.Request{Op: "repl.subscribe"})
-	if err == nil || !strings.Contains(err.Error(), server.ErrStreamOverBinary.Error()) {
-		t.Fatalf("stream over binary through router = %v, want ErrStreamOverBinary", err)
-	}
-	if err := s.Begin(); err != nil {
-		t.Fatalf("connection unusable after stream refusal: %v", err)
-	}
-	if err := s.Abort(); err != nil {
-		t.Fatal(err)
-	}
-	mux.Close()
-
-	// JSON: the request is spliced through to the stream shard. The
-	// test shards run main-memory stores with no hub, so the shard
-	// answers "unknown op" — the proof is that the *shard's* answer
-	// (not a router rejection) comes back on the front connection.
-	conn, err := net.Dial("tcp", c.raddr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	fmt.Fprintf(conn, "{\"op\":\"repl.subscribe\"}\n")
-	line, err := bufio.NewReader(conn).ReadString('\n')
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(line, "unknown op") || strings.Contains(line, "router") {
-		t.Fatalf("JSON stream op through router answered %q, want the shard's own response", strings.TrimSpace(line))
+	for _, binary := range []bool{false, true} {
+		for _, op := range []string{"repl.subscribe", "repl.status"} {
+			refusedKeepsConn(t, c.raddr, binary, op, server.ErrReplViaRouter)
+		}
 	}
 }
 
