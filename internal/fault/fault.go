@@ -280,3 +280,27 @@ func (w *File) Truncate(size int64) error {
 // Close forwards untouched: a harness must always be able to release
 // the descriptor.
 func (w *File) Close() error { return w.f.Close() }
+
+// MaxCutPoints caps Enumerate. Every sweep in the repository stops far
+// below it; an armed fault still firing here means the attacked stream
+// never ends, which is a bug, not coverage.
+const MaxCutPoints = 1024
+
+// Enumerate is the cut-point enumerator every sweep shares: it runs
+// try(n) for n = 1, 2, … with a fault armed at position n, and stops at
+// the first n whose fault did not fire — the attacked run had fewer
+// than n positions, so every earlier one was visited. It returns how
+// many positions fired. An error from try, or a fault still firing at
+// MaxCutPoints, ends the sweep with an error naming the position.
+func Enumerate(try func(n uint64) (fired bool, err error)) (uint64, error) {
+	for n := uint64(1); n <= MaxCutPoints; n++ {
+		fired, err := try(n)
+		if err != nil {
+			return n - 1, fmt.Errorf("cut point %d: %w", n, err)
+		}
+		if !fired {
+			return n - 1, nil
+		}
+	}
+	return MaxCutPoints, fmt.Errorf("fault: armed fault still fires at cut point %d", MaxCutPoints)
+}

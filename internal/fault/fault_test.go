@@ -98,3 +98,17 @@ func TestFailSyncRateIsDeterministic(t *testing.T) {
 		t.Fatalf("rate 0.3 over %d syncs injected %d failures", len(a), fails)
 	}
 }
+
+func TestEnumerateStopsAtFirstSilentPoint(t *testing.T) {
+	var tried []uint64
+	fired, err := Enumerate(func(n uint64) (bool, error) {
+		tried = append(tried, n)
+		return n <= 3, nil
+	})
+	if err != nil || fired != 3 || len(tried) != 4 {
+		t.Fatalf("fired %d over tries %v (err %v), want 3 fired over 1..4", fired, tried, err)
+	}
+	if _, err := Enumerate(func(uint64) (bool, error) { return true, nil }); err == nil {
+		t.Fatal("a fault that never stops firing must fail at the cap")
+	}
+}

@@ -1,22 +1,48 @@
-// Package torture is the crash-torture harness: it drives a trigger
-// workload against an eos-backed database, then attacks the resulting
-// write-ahead log — truncating it at every record boundary and at
-// offsets inside every record, injecting fsync failures, and panicking
-// at programmed crash points — and after each attack reopens the store
-// and checks the recovery invariants:
+// Package torture is the fault harness: one table of rows (Table), one
+// Run, one Result. Every row drives the same trigger workload — TAcct
+// objects in one cluster, each with the perpetual immediate trigger
+// Mirror active, then Bump transactions round-robin over them — attacks
+// it one way, and holds every store the attack leaves behind to the
+// same two invariants:
 //
-//  1. Pool state equals the replay of the durable log prefix: the set
-//     of live objects and their images after reopen is byte-identical
-//     to applying the committed transactions of the surviving log, in
-//     commit-record order.
-//  2. Trigger FSM state is never ahead of committed object state: the
-//     workload's immediate trigger mirrors each object mutation in the
-//     same transaction, so any recovered object must show
-//     Fired == Count, and its perpetual activation must still exist.
+//  1. The store equals the replay model: the committed transactions of
+//     a prefix of the primary's log, applied at their commit records in
+//     commit order, byte for byte. No torn transaction is visible and no
+//     committed one is lost.
+//  2. Trigger state is never ahead of committed object state: Mirror's
+//     action bumps Fired in the transaction whose Bump moved Count, so
+//     every surviving object has Fired == Count, and its one perpetual
+//     Mirror activation is intact.
 //
-// The workload runs with checkpointing off and a cache large enough
-// that no page is ever evicted, so the page file stays header-only and
-// every log truncation point is a physically reachable crash state.
+// The rows:
+//
+//   - truncate: the log is cut at every record boundary and inside
+//     every record (its first byte and its midpoint); each cut must
+//     recover to the replay of that prefix.
+//   - fsync-fail: fsync fails at a seeded rate; the store must heal and
+//     keep committing, and after a crash every member must hold exactly
+//     its acknowledged bumps.
+//   - crash: the process dies at the n-th fsync, for every fsync of the
+//     workload; the files left behind must recover to the replay of the
+//     log they hold.
+//   - record-cut: a real repl.Replica streams the primary's log from a
+//     real hub, one record per frame, and the link is cut after every
+//     frame. The stopped replica must equal the replay up to its resume
+//     position, and a replica restarted from its .replpos sidecar must
+//     converge to the full log's replay.
+//   - link-cut, link-corrupt and their -rejoin twins: the live stream
+//     (or, for -rejoin, the anti-entropy rejoin after the primary
+//     checkpointed the replica's position away) is cut, or has a byte
+//     flipped, at every frame while the workload commits; the replica
+//     must converge to the full log's replay.
+//
+// The crash, record-cut and link rows enumerate their fault positions
+// with fault.Enumerate.
+//
+// Primary stores run with checkpointing off and a cache large enough
+// that no page is ever evicted, so the page file stays header-only,
+// every log truncation point is a reachable crash state, and LSNs are
+// byte offsets into the log file.
 package torture
 
 import (
@@ -34,18 +60,70 @@ import (
 
 // Config sizes the trigger workload.
 type Config struct {
-	Objects int // objects in the torture cluster
-	Txns    int // user transactions (one Bump each, round-robin)
+	Objects int // TAcct objects in the cluster
+	Txns    int // Bump transactions, round-robin over the objects
 }
 
-func (c Config) withDefaults() Config {
-	if c.Objects <= 0 {
-		c.Objects = 4
+// Fault is how a row attacks the workload; the package comment
+// describes each.
+type Fault int
+
+const (
+	Truncate Fault = iota
+	SyncFail
+	Crash
+	RecordCut
+	LinkCut
+	LinkCorrupt
+)
+
+// Row is one configuration of the harness.
+type Row struct {
+	Name   string
+	Fault  Fault
+	Config Config
+	Rejoin bool // link rows: attack the anti-entropy rejoin, not the bootstrap stream
+}
+
+// Table is every row the harness runs.
+var Table = []Row{
+	{"truncate", Truncate, Config{Objects: 3, Txns: 24}, false},
+	{"fsync-fail", SyncFail, Config{Objects: 4, Txns: 80}, false},
+	{"crash", Crash, Config{Objects: 2, Txns: 12}, false},
+	{"record-cut", RecordCut, Config{Objects: 3, Txns: 20}, false},
+	{"link-cut", LinkCut, Config{Objects: 3, Txns: 10}, false},
+	{"link-corrupt", LinkCorrupt, Config{Objects: 3, Txns: 10}, false},
+	{"link-cut-rejoin", LinkCut, Config{Objects: 3, Txns: 10}, true},
+	{"link-corrupt-rejoin", LinkCorrupt, Config{Objects: 3, Txns: 10}, true},
+}
+
+// Result reports what one row covered.
+type Result struct {
+	Commits   int    // workload transactions acknowledged
+	Failed    int    // workload transactions that saw an injected fault
+	Records   int    // records in the attacked log
+	Points    int    // fault positions verified
+	MidRecord int    // truncate: points inside a record
+	Syncs     uint64 // crash: fsyncs of a run that did not crash
+	Heals     uint64 // fsync-fail: WAL heals of the faulted store
+	Link      fault.NetCounters
+}
+
+// Run runs one row in dir and reports its coverage. Any violated
+// invariant ends the row with an error naming the fault position.
+func Run(dir string, row Row) (*Result, error) {
+	switch row.Fault {
+	case Truncate:
+		return truncate(dir, row.Config)
+	case SyncFail:
+		return syncFail(dir, row.Config)
+	case Crash:
+		return crash(dir, row.Config)
+	case RecordCut:
+		return recordCut(dir, row.Config)
+	default:
+		return link(dir, row)
 	}
-	if c.Txns <= 0 {
-		c.Txns = 30
-	}
-	return c
 }
 
 const (
@@ -54,6 +132,9 @@ const (
 	// eviction would flush post-crash-point data into the page file and
 	// make log truncation an unreachable crash state.
 	cachePages = 4096
+	// syncFailRate and syncFailSeed drive the fsync-fail row.
+	syncFailRate = 0.2
+	syncFailSeed = 7
 )
 
 // TAcct is the workload object. Count moves in the method body, Fired
@@ -85,15 +166,20 @@ func tortureClass() *core.Class {
 	)
 }
 
-// workload opens the store at path (wrapping the WAL file with schedule
-// when non-nil), registers the class, creates the cluster, and runs the
-// Bump transactions. acked[i] counts the durably acknowledged bumps of
-// object i. The store is NOT closed: the caller either crashes (copies
-// the files) or abandons it.
-func workload(path string, cfg Config, schedule *fault.Schedule, arm func()) (acked []int, err error) {
+// workload is the trigger workload over one primary store.
+type workload struct {
+	path string
+	m    *eos.Manager
+	db   *core.Database
+	refs []core.Ref
+}
+
+// openWorkload opens the primary store at path, its log file beneath
+// sched when non-nil, and registers TAcct.
+func openWorkload(path string, sched *fault.Schedule) (*workload, error) {
 	opts := eos.Options{CacheSize: cachePages, NoAutoCheckpoint: true}
-	if schedule != nil {
-		opts.WALFile = func(f wal.File) wal.File { return fault.Wrap(f, schedule) }
+	if sched != nil {
+		opts.WALFile = func(f wal.File) wal.File { return fault.Wrap(f, sched) }
 	}
 	m, err := eos.Open(path, opts)
 	if err != nil {
@@ -105,321 +191,174 @@ func workload(path string, cfg Config, schedule *fault.Schedule, arm func()) (ac
 		return nil, err
 	}
 	if err := db.Register(tortureClass()); err != nil {
+		db.Close()
 		return nil, err
 	}
-	refs := make([]core.Ref, cfg.Objects)
-	tx := db.Begin()
-	for i := range refs {
-		if refs[i], err = db.Create(tx, "TAcct", &TAcct{}); err != nil {
-			return nil, err
+	return &workload{path: path, m: m, db: db}, nil
+}
+
+// setup creates the cluster — n TAcct objects, each with Mirror
+// active — in one transaction.
+func (w *workload) setup(n int) error {
+	w.refs = make([]core.Ref, n)
+	tx := w.db.Begin()
+	defer tx.Abort()
+	for i := range w.refs {
+		var err error
+		if w.refs[i], err = w.db.Create(tx, "TAcct", &TAcct{}); err != nil {
+			return err
 		}
-		if err := db.ClusterAdd(tx, clusterName, refs[i]); err != nil {
-			return nil, err
+		if err := w.db.ClusterAdd(tx, clusterName, w.refs[i]); err != nil {
+			return err
 		}
-		if _, err := db.Activate(tx, refs[i], "Mirror"); err != nil {
-			return nil, err
+		if _, err := w.db.Activate(tx, w.refs[i], "Mirror"); err != nil {
+			return err
 		}
 	}
 	if err := tx.Commit(); err != nil {
-		return nil, fmt.Errorf("torture: setup commit: %w", err)
+		return fmt.Errorf("torture: setup commit: %w", err)
 	}
-	if arm != nil {
-		arm() // faults start only after the clean setup commit
-	}
-	acked = make([]int, cfg.Objects)
-	for i := 0; i < cfg.Txns; i++ {
-		obj := i % cfg.Objects
-		tx := db.Begin()
-		if _, err := db.Invoke(tx, refs[obj], "Bump"); err != nil {
+	return nil
+}
+
+// bump commits txns Bump transactions round-robin over the cluster and
+// returns each member's acknowledged bumps; a transaction that fails is
+// not acknowledged.
+func (w *workload) bump(txns int) []int {
+	acked := make([]int, len(w.refs))
+	for i := 0; i < txns; i++ {
+		obj := i % len(w.refs)
+		tx := w.db.Begin()
+		if _, err := w.db.Invoke(tx, w.refs[obj], "Bump"); err != nil {
 			tx.Abort()
 			continue
 		}
-		if err := tx.Commit(); err == nil {
+		if tx.Commit() == nil {
 			acked[obj]++
 		}
 	}
-	// Crash invariant: nothing may have leaked into the page file, or
-	// truncating the log would not be a reachable crash state.
-	st, err := os.Stat(path)
-	if err != nil {
-		return nil, err
-	}
-	if st.Size() > eos.PageSize {
-		return nil, fmt.Errorf("torture: page file grew to %d bytes (eviction or checkpoint ran); truncation states would be unreachable", st.Size())
-	}
-	return acked, nil
+	return acked
 }
 
-func copyFile(src, dst string) error {
-	data, err := os.ReadFile(src)
-	if err != nil {
-		return err
+// run is setup plus cfg.Txns bumps, with the acknowledged total.
+func (w *workload) run(cfg Config) (acked []int, commits int, err error) {
+	if err := w.setup(cfg.Objects); err != nil {
+		return nil, 0, err
 	}
-	return os.WriteFile(dst, data, 0o644)
+	acked = w.bump(cfg.Txns)
+	for _, n := range acked {
+		commits += n
+	}
+	return acked, commits, nil
 }
 
-// replayModel computes the object state a correct recovery must
-// reconstruct from the log at walPath: committed transactions only,
-// applied at their commit records, in commit order. Opening the log
-// heals a torn tail exactly as recovery would.
-func replayModel(walPath string) (map[storage.OID][]byte, error) {
-	l, err := wal.Open(walPath)
+// history is the replay model: a log's records and where each ends.
+type history struct {
+	recs []wal.Record
+	ends []int64 // ends[i] is the LSN just past recs[i]
+}
+
+// readHistory decodes the log of the store at path as it stands on
+// disk, through a scratch copy (wal.Open repairs a torn tail in place,
+// and the store may still be open). It also returns the log's bytes.
+func readHistory(path string) (*history, []byte, error) {
+	walBytes, err := os.ReadFile(path + ".wal")
 	if err != nil {
-		return nil, err
+		return nil, nil, err
+	}
+	p := path + ".history"
+	if err := os.WriteFile(p, walBytes, 0o644); err != nil {
+		return nil, nil, err
+	}
+	defer os.Remove(p)
+	l, err := wal.Open(p)
+	if err != nil {
+		return nil, nil, err
 	}
 	defer l.Close()
-	model := make(map[storage.OID][]byte)
-	pending := make(map[uint64][]storage.Op)
-	err = l.Scan(func(_ wal.LSN, rec *wal.Record) error {
+	h := &history{}
+	err = l.Scan(func(lsn wal.LSN, rec *wal.Record) error {
+		h.recs = append(h.recs, *rec)
+		h.ends = append(h.ends, int64(lsn)+int64(wal.EncodedSize(rec)))
+		return nil
+	})
+	return h, walBytes, err
+}
+
+// end is the LSN just past the last record.
+func (h *history) end() int64 {
+	if len(h.ends) == 0 {
+		return 0
+	}
+	return h.ends[len(h.ends)-1]
+}
+
+// replay is the object state a correct store holds after the first
+// upto bytes of the log: the transactions whose commit record lies
+// wholly inside the prefix, applied at their commit records in commit
+// order.
+func (h *history) replay(upto int64) map[storage.OID][]byte {
+	state := make(map[storage.OID][]byte)
+	pending := make(map[uint64][]*wal.Record)
+	for i := range h.recs {
+		if h.ends[i] > upto {
+			break
+		}
+		rec := &h.recs[i]
 		switch rec.Type {
-		case wal.RecUpdate, wal.RecAllocate:
-			data := append([]byte(nil), rec.Data...)
-			pending[rec.Txn] = append(pending[rec.Txn], storage.Op{Kind: storage.OpWrite, OID: storage.OID(rec.OID), Data: data})
-		case wal.RecFree:
-			pending[rec.Txn] = append(pending[rec.Txn], storage.Op{Kind: storage.OpFree, OID: storage.OID(rec.OID)})
+		case wal.RecUpdate, wal.RecAllocate, wal.RecFree:
+			pending[rec.Txn] = append(pending[rec.Txn], rec)
 		case wal.RecCommit:
 			for _, op := range pending[rec.Txn] {
-				if op.Kind == storage.OpWrite {
-					model[op.OID] = op.Data
+				if op.Type == wal.RecFree {
+					delete(state, storage.OID(op.OID))
 				} else {
-					delete(model, op.OID)
+					state[storage.OID(op.OID)] = op.Data
 				}
 			}
 			delete(pending, rec.Txn)
 		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
 	}
-	return model, nil
+	return state
 }
 
-// verifyPoint materializes the crash state "page file + log prefix of T
-// bytes" in its own directory, reopens, and checks both invariants.
-func verifyPoint(pagePath string, walBytes []byte, t int64, dir string) error {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
+// check holds a copy of a store — the page file at page with the log
+// walBytes, in page+".check" — to both invariants: its objects equal
+// want byte for byte, and every cluster member has Fired == Count and
+// its one perpetual Mirror. With acked non-nil, member i must also hold
+// exactly acked[i] bumps. The copy keeps the trigger check's class
+// registration out of the files under test.
+func check(page string, walBytes []byte, want map[storage.OID][]byte, acked []int) error {
+	dst := filepath.Join(page+".check", "s.eos")
+	if err := os.MkdirAll(filepath.Dir(dst), 0o755); err != nil {
 		return err
 	}
-	defer os.RemoveAll(dir)
-	dst := filepath.Join(dir, "s.eos")
-	if err := copyFile(pagePath, dst); err != nil {
+	pageBytes, err := os.ReadFile(page)
+	if err != nil {
 		return err
 	}
-	if err := os.WriteFile(dst+".wal", walBytes[:t], 0o644); err != nil {
+	if err := os.WriteFile(dst, pageBytes, 0o644); err != nil {
 		return err
-	}
-
-	want, err := replayModel(dst + ".wal")
-	if err != nil {
-		return fmt.Errorf("t=%d: model replay: %w", t, err)
-	}
-	m, err := eos.Open(dst, eos.Options{CacheSize: cachePages, NoAutoCheckpoint: true})
-	if err != nil {
-		return fmt.Errorf("t=%d: reopen: %w", t, err)
-	}
-	got := make(map[storage.OID][]byte)
-	if err := m.Iterate(func(oid storage.OID, data []byte) error {
-		got[oid] = append([]byte(nil), data...)
-		return nil
-	}); err != nil {
-		m.Close()
-		return fmt.Errorf("t=%d: iterate: %w", t, err)
-	}
-	for oid, w := range want {
-		g, ok := got[oid]
-		if !ok {
-			m.Close()
-			return fmt.Errorf("t=%d: oid %d in durable prefix but missing after recovery", t, oid)
-		}
-		if !bytes.Equal(g, w) {
-			m.Close()
-			return fmt.Errorf("t=%d: oid %d image diverges from durable-prefix replay", t, oid)
-		}
-	}
-	for oid := range got {
-		if _, ok := want[oid]; !ok {
-			m.Close()
-			return fmt.Errorf("t=%d: oid %d visible after recovery but not in durable prefix", t, oid)
-		}
-	}
-	return verifyTriggerConsistency(m, t)
-}
-
-// verifyTriggerConsistency opens a database over the recovered store and
-// checks invariant 2 for every cluster member. It closes the store.
-func verifyTriggerConsistency(m *eos.Manager, t int64) error {
-	db, err := core.NewDatabase(m)
-	if err != nil {
-		m.Close()
-		return fmt.Errorf("t=%d: core reopen: %w", t, err)
-	}
-	defer db.Close()
-	if err := db.Register(tortureClass()); err != nil {
-		return fmt.Errorf("t=%d: re-register: %w", t, err)
-	}
-	tx := db.Begin()
-	defer tx.Abort()
-	return db.ClusterScan(tx, clusterName, func(ref core.Ref) error {
-		v, err := db.Get(tx, ref)
-		if err != nil {
-			return fmt.Errorf("t=%d: get %v: %w", t, ref, err)
-		}
-		a := v.(*TAcct)
-		if a.Fired != a.Count {
-			return fmt.Errorf("t=%d: %v recovered Fired=%d Count=%d; trigger effects diverged from object state", t, ref, a.Fired, a.Count)
-		}
-		infos, err := db.ActiveTriggers(tx, ref)
-		if err != nil {
-			return fmt.Errorf("t=%d: triggers on %v: %w", t, ref, err)
-		}
-		if len(infos) != 1 || infos[0].Trigger != "Mirror" {
-			return fmt.Errorf("t=%d: %v has activations %+v, want the one perpetual Mirror", t, ref, infos)
-		}
-		return nil
-	})
-}
-
-// SweepResult reports what a truncation sweep covered.
-type SweepResult struct {
-	Commits    int // acknowledged workload transactions
-	Records    int // records in the attacked log
-	Boundaries int // record-boundary truncation points verified
-	MidRecord  int // intra-record truncation points verified
-}
-
-// Sweep runs the workload in dir, then verifies recovery at every
-// record boundary of the resulting log and at offsets inside every
-// record (first byte of the record body and the record midpoint).
-func Sweep(dir string, cfg Config) (*SweepResult, error) {
-	cfg = cfg.withDefaults()
-	path := filepath.Join(dir, "work.eos")
-	acked, err := workload(path, cfg, nil, nil)
-	if err != nil {
-		return nil, err
-	}
-	res := &SweepResult{}
-	for _, n := range acked {
-		res.Commits += n
-	}
-	if res.Commits != cfg.Txns {
-		return nil, fmt.Errorf("torture: fault-free workload acked %d/%d txns", res.Commits, cfg.Txns)
-	}
-	walBytes, err := os.ReadFile(path + ".wal")
-	if err != nil {
-		return nil, err
-	}
-
-	// Record extents, from a scratch copy (Open may truncate in place).
-	scratch := filepath.Join(dir, "extents.wal")
-	if err := os.WriteFile(scratch, walBytes, 0o644); err != nil {
-		return nil, err
-	}
-	l, err := wal.Open(scratch)
-	if err != nil {
-		return nil, err
-	}
-	var starts []int64
-	if err := l.Scan(func(lsn wal.LSN, _ *wal.Record) error {
-		starts = append(starts, int64(lsn))
-		return nil
-	}); err != nil {
-		l.Close()
-		return nil, err
-	}
-	end := l.Size()
-	l.Close()
-	if len(starts) == 0 {
-		return nil, fmt.Errorf("torture: workload produced an empty log")
-	}
-	res.Records = len(starts)
-
-	points := make(map[int64]bool) // point -> is mid-record
-	for i, s := range starts {
-		e := end
-		if i+1 < len(starts) {
-			e = starts[i+1]
-		}
-		points[s] = false
-		if s+1 < e {
-			points[s+1] = true // torn inside the record header
-		}
-		if mid := s + (e-s)/2; mid > s && mid < e {
-			points[mid] = true // torn mid-record
-		}
-	}
-	points[end] = false
-
-	pointDir := filepath.Join(dir, "points")
-	for t, mid := range points {
-		if err := verifyPoint(path, walBytes, t, pointDir); err != nil {
-			return nil, err
-		}
-		if mid {
-			res.MidRecord++
-		} else {
-			res.Boundaries++
-		}
-	}
-	return res, nil
-}
-
-// FaultResult reports a sync-fault torture run.
-type FaultResult struct {
-	Acked  int    // transactions acknowledged committed
-	Failed int    // transactions that observed an injected failure
-	Heals  uint64 // WAL heals the store performed to keep going
-}
-
-// SyncFaults runs the workload with fsync failing at the given rate
-// (deterministically, from seed), relying on the store's self-healing
-// to keep committing, then crashes and verifies that recovered state is
-// exactly the acknowledged prefix: every acked bump present, every
-// failed bump absent, trigger effects in lockstep.
-func SyncFaults(dir string, cfg Config, rate float64, seed int64) (*FaultResult, error) {
-	cfg = cfg.withDefaults()
-	path := filepath.Join(dir, "faulty.eos")
-	s := fault.NewSchedule()
-	acked, err := workload(path, cfg, s, func() { s.FailSyncRate(rate, seed) })
-	if err != nil {
-		return nil, err
-	}
-	res := &FaultResult{}
-	for _, n := range acked {
-		res.Acked += n
-	}
-	res.Failed = cfg.Txns - res.Acked
-
-	// Crash: reopen from the files alone, with no fault wrapper (the
-	// injected failures died with the "process").
-	walBytes, err := os.ReadFile(path + ".wal")
-	if err != nil {
-		return nil, err
-	}
-	crashDir := filepath.Join(dir, "crash")
-	if err := os.MkdirAll(crashDir, 0o755); err != nil {
-		return nil, err
-	}
-	dst := filepath.Join(crashDir, "s.eos")
-	if err := copyFile(path, dst); err != nil {
-		return nil, err
 	}
 	if err := os.WriteFile(dst+".wal", walBytes, 0o644); err != nil {
-		return nil, err
+		return err
 	}
 	m, err := eos.Open(dst, eos.Options{CacheSize: cachePages, NoAutoCheckpoint: true})
 	if err != nil {
-		return nil, fmt.Errorf("torture: reopen after sync faults: %w", err)
+		return err
 	}
-	res.Heals = m.Stats().WALHeals // zero here; heals happened pre-crash
+	if err := sameObjects(m, want); err != nil {
+		m.Close()
+		return err
+	}
 	db, err := core.NewDatabase(m)
 	if err != nil {
 		m.Close()
-		return nil, err
+		return err
 	}
 	defer db.Close()
 	if err := db.Register(tortureClass()); err != nil {
-		return nil, err
+		return err
 	}
 	tx := db.Begin()
 	defer tx.Abort()
@@ -430,79 +369,180 @@ func SyncFaults(dir string, cfg Config, rate float64, seed int64) (*FaultResult,
 			return err
 		}
 		a := v.(*TAcct)
-		if a.Count != acked[i] {
-			return fmt.Errorf("torture: object %d recovered Count=%d, want %d acked bumps (lost or phantom commit)", i, a.Count, acked[i])
-		}
 		if a.Fired != a.Count {
-			return fmt.Errorf("torture: object %d recovered Fired=%d Count=%d", i, a.Fired, a.Count)
+			return fmt.Errorf("%v has Fired=%d Count=%d; trigger effects diverged from object state", ref, a.Fired, a.Count)
+		}
+		if acked != nil && a.Count != acked[i] {
+			return fmt.Errorf("member %d has Count=%d, want its %d acknowledged bumps", i, a.Count, acked[i])
+		}
+		infos, err := db.ActiveTriggers(tx, ref)
+		if err != nil {
+			return err
+		}
+		if len(infos) != 1 || infos[0].Trigger != "Mirror" {
+			return fmt.Errorf("%v has activations %+v, want the one perpetual Mirror", ref, infos)
 		}
 		i++
 		return nil
 	})
+	if err == nil && acked != nil && i != len(acked) {
+		err = fmt.Errorf("%d cluster members survived, want %d", i, len(acked))
+	}
+	return err
+}
+
+// sameObjects compares the live objects of m with want, byte for byte.
+func sameObjects(m *eos.Manager, want map[storage.OID][]byte) error {
+	got := make(map[storage.OID][]byte)
+	if err := m.Iterate(func(oid storage.OID, data []byte) error {
+		got[oid] = append([]byte(nil), data...)
+		return nil
+	}); err != nil {
+		return err
+	}
+	for oid, w := range want {
+		if g, ok := got[oid]; !ok {
+			return fmt.Errorf("oid %d committed in the log but missing from the store", oid)
+		} else if !bytes.Equal(g, w) {
+			return fmt.Errorf("oid %d image diverges from the log's replay", oid)
+		}
+	}
+	for oid := range got {
+		if _, ok := want[oid]; !ok {
+			return fmt.Errorf("oid %d in the store but not committed in the log", oid)
+		}
+	}
+	return nil
+}
+
+// truncate cuts a fault-free run's log at every record boundary and
+// inside every record.
+func truncate(dir string, cfg Config) (*Result, error) {
+	w, err := openWorkload(filepath.Join(dir, "work.eos"), nil)
 	if err != nil {
 		return nil, err
 	}
-	if i != cfg.Objects {
-		return nil, fmt.Errorf("torture: recovered %d cluster members, want %d", i, cfg.Objects)
+	defer w.db.Close()
+	_, commits, err := w.run(cfg)
+	if err != nil {
+		return nil, err
+	}
+	if commits != cfg.Txns {
+		return nil, fmt.Errorf("torture: fault-free workload acked %d/%d txns", commits, cfg.Txns)
+	}
+	// Nothing may have leaked into the page file, or truncating the log
+	// would not be a reachable crash state.
+	st, err := os.Stat(w.path)
+	if err != nil {
+		return nil, err
+	}
+	if st.Size() > eos.PageSize {
+		return nil, fmt.Errorf("torture: page file grew to %d bytes (eviction or checkpoint ran); truncation states would be unreachable", st.Size())
+	}
+	h, walBytes, err := readHistory(w.path)
+	if err != nil {
+		return nil, err
+	}
+	res := &Result{Commits: commits, Records: len(h.recs)}
+	points := map[int64]bool{0: false} // point -> inside a record
+	start := int64(0)
+	for _, end := range h.ends {
+		points[end] = false
+		if start+1 < end {
+			points[start+1] = true // torn inside the record header
+		}
+		if mid := start + (end-start)/2; mid > start {
+			points[mid] = true // torn mid-record
+		}
+		start = end
+	}
+	for t, inside := range points {
+		if err := check(w.path, walBytes[:t], h.replay(t), nil); err != nil {
+			return nil, fmt.Errorf("truncated at %d: %w", t, err)
+		}
+		res.Points++
+		if inside {
+			res.MidRecord++
+		}
 	}
 	return res, nil
 }
 
-// CrashPoints runs the workload once per entry in syncNs, panicking at
-// the n-th fsync via a programmed crash point, and verifies recovery
-// from the files left behind. Returns how many crashes were exercised.
-func CrashPoints(dir string, cfg Config, syncNs []uint64) (int, error) {
-	cfg = cfg.withDefaults()
-	crashes := 0
-	for _, n := range syncNs {
+// syncFail fails fsync at a seeded rate after the setup commit, then
+// crashes: the recovered store must be exactly the acknowledged bumps.
+func syncFail(dir string, cfg Config) (*Result, error) {
+	sched := fault.NewSchedule()
+	w, err := openWorkload(filepath.Join(dir, "faulty.eos"), sched)
+	if err != nil {
+		return nil, err
+	}
+	if err := w.setup(cfg.Objects); err != nil {
+		return nil, err
+	}
+	sched.FailSyncRate(syncFailRate, syncFailSeed)
+	acked := w.bump(cfg.Txns)
+	res := &Result{Points: 1, Heals: w.m.Stats().WALHeals}
+	for _, n := range acked {
+		res.Commits += n
+	}
+	res.Failed = cfg.Txns - res.Commits
+
+	// Crash: the faulted store is abandoned and its files reopened
+	// without the fault wrapper (the injected failures died with it).
+	h, walBytes, err := readHistory(w.path)
+	if err != nil {
+		return nil, err
+	}
+	res.Records = len(h.recs)
+	return res, check(w.path, walBytes, h.replay(h.end()), acked)
+}
+
+// crash kills the workload at its n-th fsync for every n, and recovers
+// each state it leaves behind.
+func crash(dir string, cfg Config) (*Result, error) {
+	res := &Result{}
+	_, err := fault.Enumerate(func(n uint64) (bool, error) {
 		sub := filepath.Join(dir, fmt.Sprintf("crash-%d", n))
 		if err := os.MkdirAll(sub, 0o755); err != nil {
-			return crashes, err
+			return false, err
 		}
-		path := filepath.Join(sub, "work.eos")
-		crashed, err := runToCrash(path, cfg, n)
+		defer os.RemoveAll(sub)
+		sched := fault.NewSchedule().CrashAt(fault.OpSync, n)
+		page := filepath.Join(sub, "work.eos")
+		crashed, err := runToCrash(page, cfg, sched)
 		if err != nil {
-			return crashes, err
+			return false, err
 		}
 		if !crashed {
-			// The workload finished before the n-th fsync; still verify.
-			if err := verifyAfterCrash(path); err != nil {
-				return crashes, err
-			}
-			continue
+			res.Syncs = sched.Counters().Syncs
 		}
-		crashes++
-		if err := verifyAfterCrash(path); err != nil {
-			return crashes, fmt.Errorf("crash at fsync %d: %w", n, err)
+		// The store, crashed or not, is abandoned as a kill -9 would
+		// abandon it.
+		h, walBytes, err := readHistory(page)
+		if err != nil {
+			return false, err
 		}
-	}
-	return crashes, nil
+		res.Records = len(h.recs)
+		res.Points++
+		return crashed, check(page, walBytes, h.replay(h.end()), nil)
+	})
+	return res, err
 }
 
-// runToCrash executes the workload under a CrashAt schedule, absorbing
-// the simulated machine crash. The wedged manager is abandoned, exactly
-// as a kill -9 would abandon it.
-func runToCrash(path string, cfg Config, n uint64) (crashed bool, err error) {
+// runToCrash runs the workload under sched, absorbing the simulated
+// machine crash.
+func runToCrash(path string, cfg Config, sched *fault.Schedule) (crashed bool, err error) {
 	defer func() {
 		if r := recover(); r != nil {
-			if _, ok := r.(fault.Crash); ok {
-				crashed = true
-				err = nil
-				return
+			if _, ok := r.(fault.Crash); !ok {
+				panic(r)
 			}
-			panic(r)
+			crashed, err = true, nil
 		}
 	}()
-	_, err = workload(path, cfg, fault.NewSchedule().CrashAt(fault.OpSync, n), nil)
-	return false, err
-}
-
-// verifyAfterCrash reopens the crash state in place and checks the
-// trigger-consistency invariant over whatever committed.
-func verifyAfterCrash(path string) error {
-	m, err := eos.Open(path, eos.Options{CacheSize: cachePages, NoAutoCheckpoint: true})
-	if err != nil {
-		return fmt.Errorf("reopen: %w", err)
+	w, err := openWorkload(path, sched)
+	if err == nil {
+		_, _, err = w.run(cfg)
 	}
-	return verifyTriggerConsistency(m, -1)
+	return false, err
 }

@@ -1,57 +1,85 @@
 package torture
 
-import "testing"
+import (
+	"strings"
+	"testing"
+)
 
-// TestTruncationSweep is the core torture run: recovery must be correct
-// at every record boundary and inside every record of the workload log.
-func TestTruncationSweep(t *testing.T) {
-	res, err := Sweep(t.TempDir(), Config{Objects: 3, Txns: 24})
-	if err != nil {
-		t.Fatal(err)
+// runRow runs the Table row called name and logs its coverage.
+func runRow(t *testing.T, name string) *Result {
+	t.Helper()
+	for _, row := range Table {
+		if row.Name == name {
+			res, err := Run(t.TempDir(), row)
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			t.Logf("%s: %+v", name, *res)
+			return res
+		}
 	}
-	if res.Commits != 24 {
-		t.Fatalf("commits = %d, want 24", res.Commits)
-	}
-	// Sanity on coverage: the log must contain at least one record per
-	// transaction plus its commit record, and the sweep must have hit
-	// both boundary and intra-record offsets.
-	if res.Records < 48 {
-		t.Fatalf("only %d records in the workload log", res.Records)
-	}
-	if res.Boundaries < res.Records || res.MidRecord < res.Records {
-		t.Fatalf("coverage too thin: %d boundary + %d mid-record points over %d records",
-			res.Boundaries, res.MidRecord, res.Records)
-	}
-	t.Logf("verified %d boundary + %d mid-record truncation points over %d records",
-		res.Boundaries, res.MidRecord, res.Records)
+	t.Fatalf("no row %q", name)
+	return nil
 }
 
-// TestSyncFaultTorture injects a 20%% fsync failure rate: the store must
+// TestTruncationSweep: recovery must be correct at every record
+// boundary and inside every record of the workload log.
+func TestTruncationSweep(t *testing.T) {
+	res := runRow(t, "truncate")
+	boundaries := res.Points - res.MidRecord
+	if res.Commits != 24 || res.Records < 48 || boundaries != res.Records+1 || res.MidRecord != 2*res.Records {
+		t.Fatalf("coverage too thin: %d boundary + %d mid-record points over %d records, %d commits",
+			boundaries, res.MidRecord, res.Records, res.Commits)
+	}
+}
+
+// TestSyncFaultTorture injects a 20% fsync failure rate: the store must
 // self-heal and keep committing, and after a crash the recovered state
 // must be exactly the acknowledged prefix.
 func TestSyncFaultTorture(t *testing.T) {
-	res, err := SyncFaults(t.TempDir(), Config{Objects: 4, Txns: 80}, 0.2, 7)
-	if err != nil {
-		t.Fatal(err)
+	res := runRow(t, "fsync-fail")
+	if res.Failed == 0 || res.Commits == 0 || res.Heals == 0 {
+		t.Fatalf("failed %d, acked %d, heals %d: want faults that bite and a store that heals past them",
+			res.Failed, res.Commits, res.Heals)
 	}
-	if res.Failed == 0 {
-		t.Fatal("no injected failures at rate 0.2 — the schedule is not biting")
-	}
-	if res.Acked == 0 {
-		t.Fatal("no transaction survived: self-healing is not working")
-	}
-	t.Logf("acked %d, failed %d under 20%% fsync faults", res.Acked, res.Failed)
 }
 
-// TestCrashPointPanics simulates power loss at programmed fsyncs. Every
-// left-behind state must recover with trigger effects consistent.
+// TestCrashPointPanics simulates power loss at every fsync of the
+// workload; every left-behind state must recover.
 func TestCrashPointPanics(t *testing.T) {
-	crashes, err := CrashPoints(t.TempDir(), Config{Objects: 2, Txns: 12}, []uint64{1, 2, 5, 9})
-	if err != nil {
-		t.Fatal(err)
+	res := runRow(t, "crash")
+	if res.Syncs == 0 || uint64(res.Points) != res.Syncs+1 {
+		t.Fatalf("%d crash states over %d fsyncs, want one per fsync plus the clean run", res.Points, res.Syncs)
 	}
-	if crashes == 0 {
-		t.Fatal("no crash point fired")
+}
+
+// TestReplSweep cuts a real replica's link after every record of the
+// primary's log (one record per frame): at each cut the replica must
+// equal the replay up to its resume position with its trigger state
+// consistent, and a restart from its sidecar must converge it to the
+// full log.
+func TestReplSweep(t *testing.T) {
+	t.Parallel()
+	res := runRow(t, "record-cut")
+	if res.Commits != 20 || res.Link.Cuts != uint64(res.Records) || res.Points != res.Records+1 {
+		t.Fatalf("%d cuts, %d points over %d records, %d commits: want a cut at every record",
+			res.Link.Cuts, res.Points, res.Records, res.Commits)
 	}
-	t.Logf("%d crash points exercised", crashes)
+}
+
+// TestLinkSweep cuts, and flips a byte in, every frame of the live
+// stream and of the anti-entropy rejoin; the replica must converge.
+func TestLinkSweep(t *testing.T) {
+	t.Parallel()
+	for _, row := range Table {
+		if strings.HasPrefix(row.Name, "link-") {
+			t.Run(row.Name, func(t *testing.T) {
+				t.Parallel()
+				res := runRow(t, row.Name)
+				if fired := res.Link.Cuts + res.Link.Corruptions; res.Points < 3 || fired != uint64(res.Points-1) {
+					t.Fatalf("%d faults fired over %d positions, want one at every position but the last", fired, res.Points)
+				}
+			})
+		}
+	}
 }

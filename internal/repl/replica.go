@@ -40,9 +40,6 @@ type ReplicaOptions struct {
 	// fault layer inject instrumented or flaky links here; nil means
 	// net.DialTimeout over TCP.
 	Dial func(addr string, timeout time.Duration) (net.Conn, error)
-	// NoRecon disables anti-entropy rejoin: an out-of-range resume
-	// always takes the full snapshot, as before reconciliation existed.
-	NoRecon bool
 }
 
 // Status is a snapshot of a replica's stream state, served by the
@@ -332,7 +329,7 @@ func (r *Replica) streamOnce() error {
 	dec := json.NewDecoder(bufio.NewReader(conn))
 	// Offer reconciliation when the local store has anything to
 	// reconcile against; an empty store bootstraps faster by snapshot.
-	recon := !r.opts.NoRecon && r.store.ObjectCount() > 0
+	recon := r.store.ObjectCount() > 0
 	if err := enc.Encode(&server.Request{Op: OpSubscribe, LSN: r.applied.Load(), Recon: recon}); err != nil {
 		return err
 	}

@@ -34,20 +34,24 @@ type VerifyOptions struct {
 	// class name to this ID; class IDs are identical on primary and
 	// replica because the catalog itself replicates.
 	Class uint32
-	// Rounds caps the audit rounds used to separate real divergence
-	// from replication churn (default 4, minimum 2).
-	Rounds int
-	// RepairAttempts caps repair→confirm cycles (default 3).
-	RepairAttempts int
-	// CatchUp bounds the per-round wait for the replica's applied
-	// position to reach the primary's capture LSN (default 10s; must
-	// stay under the exchange's read timeout).
-	CatchUp time.Duration
 	// BackoffBase/BackoffMax shape the capped exponential backoff
 	// between rounds and repair attempts (defaults 50ms / 2s).
 	BackoffBase time.Duration
 	BackoffMax  time.Duration
 }
+
+const (
+	// verifyRounds caps the audit rounds used to separate real
+	// divergence from replication churn (two consecutive rounds must
+	// agree, so at least 2).
+	verifyRounds = 4
+	// repairAttempts caps repair→confirm cycles.
+	repairAttempts = 3
+	// catchUpWait bounds the per-round wait for the replica's applied
+	// position to reach the primary's capture LSN; it must stay under
+	// the exchange's read timeout.
+	catchUpWait = 10 * time.Second
+)
 
 // VerifyReport is the audit's outcome, served by the repl.verify op.
 type VerifyReport struct {
@@ -114,15 +118,6 @@ func sortedOIDs(set map[uint64]bool) []uint64 {
 func (r *Replica) Verify(opts VerifyOptions) (*VerifyReport, error) {
 	r.verifyMu.Lock()
 	defer r.verifyMu.Unlock()
-	if opts.Rounds < 2 {
-		opts.Rounds = 4
-	}
-	if opts.RepairAttempts <= 0 {
-		opts.RepairAttempts = 3
-	}
-	if opts.CatchUp <= 0 {
-		opts.CatchUp = 10 * time.Second
-	}
 	if opts.BackoffBase <= 0 {
 		opts.BackoffBase = 50 * time.Millisecond
 	}
@@ -135,11 +130,11 @@ func (r *Replica) Verify(opts VerifyOptions) (*VerifyReport, error) {
 	bo := server.Backoff{Base: opts.BackoffBase, Max: opts.BackoffMax}
 	var prev map[uint64]digestPair
 	var lastErr error
-	for round := 0; round < opts.Rounds; round++ {
+	for round := 0; round < verifyRounds; round++ {
 		if round > 0 {
 			time.Sleep(bo.Next())
 		}
-		res, err := r.verifyRound(nil, opts.CatchUp, opts.Class)
+		res, err := r.verifyRound(nil, opts.Class)
 		if err != nil {
 			if errors.Is(err, ErrLagged) {
 				return rep, err
@@ -197,7 +192,7 @@ func (r *Replica) Verify(opts VerifyOptions) (*VerifyReport, error) {
 // scopes both sides' inventories to that catalog class. Each round
 // waits for the replica to catch up to the primary's capture LSN so
 // the decoded difference cannot be explained by un-applied history.
-func (r *Replica) verifyRound(fetch map[uint64]bool, catchUp time.Duration, class uint32) (*reconResult, error) {
+func (r *Replica) verifyRound(fetch map[uint64]bool, class uint32) (*reconResult, error) {
 	conn, err := r.dial()
 	if err != nil {
 		return nil, err
@@ -222,7 +217,7 @@ func (r *Replica) verifyRound(fetch map[uint64]bool, catchUp time.Duration, clas
 	if f.T != FrameRecon {
 		return nil, fmt.Errorf("repl: expected recon frame, got %q", f.T)
 	}
-	deadline := time.Now().Add(catchUp)
+	deadline := time.Now().Add(catchUpWait)
 	for r.applied.Load() < f.LSN {
 		if time.Now().After(deadline) {
 			return nil, fmt.Errorf("%w: applied %d behind capture %d", ErrLagged, r.applied.Load(), f.LSN)
@@ -237,11 +232,11 @@ func (r *Replica) verifyRound(fetch map[uint64]bool, catchUp time.Duration, clas
 // the divergence is gone or attempts run out.
 func (r *Replica) repairDiverged(rep *VerifyReport, stable map[uint64]bool, opts VerifyOptions, bo *server.Backoff) (*VerifyReport, error) {
 	var lastErr error
-	for attempt := 0; attempt < opts.RepairAttempts; attempt++ {
+	for attempt := 0; attempt < repairAttempts; attempt++ {
 		if attempt > 0 {
 			time.Sleep(bo.Next())
 		}
-		res, err := r.verifyRound(stable, opts.CatchUp, opts.Class)
+		res, err := r.verifyRound(stable, opts.Class)
 		if err != nil {
 			lastErr = err
 			continue
@@ -263,7 +258,7 @@ func (r *Replica) repairDiverged(rep *VerifyReport, stable map[uint64]bool, opts
 		}
 		// Confirm: a fresh audit round must no longer see any of the
 		// repaired OIDs in the diff.
-		chk, err := r.verifyRound(nil, opts.CatchUp, opts.Class)
+		chk, err := r.verifyRound(nil, opts.Class)
 		if err != nil {
 			lastErr = err
 			continue

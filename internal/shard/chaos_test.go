@@ -6,6 +6,7 @@ import (
 	"io"
 	"net"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -91,103 +92,26 @@ func runCrossShardRounds(t *testing.T, c *testCluster, rounds int) {
 	}
 }
 
-// TestCrossShardExactlyOnceRequestCutSweep kills the forward link right
-// after the k-th request frame, for every k a clean run (plus its
-// forced resends) can produce. The batch lands, the ack dies with the
-// link; the resend must be absorbed by the receiver's watermark.
-func TestCrossShardExactlyOnceRequestCutSweep(t *testing.T) {
-	const rounds = 3
-	for k := uint64(1); k <= 5; k++ {
-		t.Run(fmt.Sprintf("cut_after_request_%d", k), func(t *testing.T) {
-			plan := fault.NewNetPlan(int64(k)).CutAfterFrames(k)
-			var once sync.Once
-			var proxyAddr string
-			c := startCluster(t, 2, clusterConfig{
-				noRouter: true,
-				fwdAddrs: func(addrs []string) []string {
-					once.Do(func() { proxyAddr = faultProxy(t, addrs[1], plan) })
-					out := append([]string(nil), addrs...)
-					out[1] = proxyAddr
-					return out
-				},
-			})
-			runCrossShardRounds(t, c, rounds)
-			if k <= rounds {
-				if cuts := plan.Counters().Cuts; cuts != 1 {
-					t.Fatalf("armed cut at frame %d never fired (cuts=%d)", k, cuts)
-				}
-				if dups := c.nodes[1].db.Observability().Snapshot(); dups == nil {
-					t.Fatal("no metrics")
-				}
-			}
-		})
+// ingested reads the receiver's dedup counters: shard.ingested counts
+// each cross-shard event once however often it was redelivered.
+func ingested(n *testNode) (events, dups uint64) {
+	for _, mv := range n.db.Observability().Snapshot() {
+		switch mv.Name {
+		case "shard.ingested":
+			events = mv.Value
+		case "shard.ingest_dups":
+			dups = mv.Value
+		}
 	}
+	return events, dups
 }
 
-// TestCrossShardExactlyOnceAckCutSweep faults the ack stream instead:
-// the k-th ack frame is corrupted (the link then cut one frame later),
-// so the forwarder cannot trust the ack and must resend a batch the
-// receiver has already applied.
-func TestCrossShardExactlyOnceAckCutSweep(t *testing.T) {
-	const rounds = 3
-	for k := uint64(1); k <= 4; k++ {
-		t.Run(fmt.Sprintf("corrupt_ack_%d", k), func(t *testing.T) {
-			plan := fault.NewNetPlan(int64(k)).CorruptFrame(k).CutAfterFrames(k + 1)
-			c := startCluster(t, 2, clusterConfig{
-				noRouter: true,
-				dialFor: func(self int) func(string, time.Duration) (net.Conn, error) {
-					if self != 0 {
-						return nil
-					}
-					return plan.Dialer()
-				},
-			})
-			runCrossShardRounds(t, c, rounds)
-		})
-	}
-}
-
-// TestCrossShardExactlyOnceDialFailures covers the boundary before any
-// frame: the first dials fail outright (the link is down), then heal.
-func TestCrossShardExactlyOnceDialFailures(t *testing.T) {
-	var failures sync.Mutex
-	remaining := 3
-	c := startCluster(t, 2, clusterConfig{
-		noRouter: true,
-		dialFor: func(self int) func(string, time.Duration) (net.Conn, error) {
-			if self != 0 {
-				return nil
-			}
-			return func(addr string, timeout time.Duration) (net.Conn, error) {
-				failures.Lock()
-				fail := remaining > 0
-				if fail {
-					remaining--
-				}
-				failures.Unlock()
-				if fail {
-					return nil, errors.New("injected: link down")
-				}
-				return net.DialTimeout("tcp", addr, timeout)
-			}
-		},
-	})
-	runCrossShardRounds(t, c, 2)
-	failures.Lock()
-	defer failures.Unlock()
-	if remaining != 0 {
-		t.Fatalf("%d injected dial failures never consumed", remaining)
-	}
-}
-
-// TestCrossShardBatchRedeliveryCounters pins the dedup bookkeeping: a
-// cut-ack redelivery must show up in shard.ingest_dups on the receiver,
-// while shard.ingested counts each event exactly once.
-func TestCrossShardBatchRedeliveryCounters(t *testing.T) {
-	plan := fault.NewNetPlan(7).CutAfterFrames(1)
+// proxied routes shard 0's forward link to shard 1 through a
+// faultProxy running plan.
+func proxied(t *testing.T, plan *fault.NetPlan) clusterConfig {
 	var once sync.Once
 	var proxyAddr string
-	c := startCluster(t, 2, clusterConfig{
+	return clusterConfig{
 		noRouter: true,
 		fwdAddrs: func(addrs []string) []string {
 			once.Do(func() { proxyAddr = faultProxy(t, addrs[1], plan) })
@@ -195,19 +119,93 @@ func TestCrossShardBatchRedeliveryCounters(t *testing.T) {
 			out[1] = proxyAddr
 			return out
 		},
-	})
-	runCrossShardRounds(t, c, 2)
-	var ingested, dups uint64
-	for _, mv := range c.nodes[1].db.Observability().Snapshot() {
-		switch mv.Name {
-		case "shard.ingested":
-			ingested = mv.Value
-		case "shard.ingest_dups":
-			dups = mv.Value
-		}
 	}
-	if ingested != 2 {
-		t.Fatalf("shard.ingested = %d, want 2 (one per cross-shard event)", ingested)
+}
+
+// dialing makes shard 0 open its forward link with dial.
+func dialing(dial func(string, time.Duration) (net.Conn, error)) clusterConfig {
+	return clusterConfig{
+		noRouter: true,
+		dialFor: func(self int) func(string, time.Duration) (net.Conn, error) {
+			if self != 0 {
+				return nil
+			}
+			return dial
+		},
+	}
+}
+
+// cutSweep runs the three-round scenario once per fault position k =
+// 1, 2, … until the fault armed at k no longer fires. Every round
+// sends at least one frame, so at least that many positions must fire,
+// and after each one the receiver must have ingested each event once.
+func cutSweep(t *testing.T, name string, arm func(t *testing.T, k uint64) (*fault.NetPlan, clusterConfig), fired func(*fault.NetPlan) bool) {
+	const rounds = 3
+	n, err := fault.Enumerate(func(k uint64) (hit bool, err error) {
+		t.Run(fmt.Sprintf("%s_%d", name, k), func(t *testing.T) {
+			plan, cfg := arm(t, k)
+			c := startCluster(t, 2, cfg)
+			runCrossShardRounds(t, c, rounds)
+			if hit = fired(plan); hit {
+				if got, _ := ingested(c.nodes[1]); got != rounds {
+					t.Fatalf("shard.ingested = %d with the fault at frame %d, want %d", got, k, rounds)
+				}
+			}
+		})
+		return hit, nil
+	})
+	if err != nil || n < rounds {
+		t.Fatalf("%d fault positions fired over %d rounds: %v", n, rounds, err)
+	}
+}
+
+// TestCrossShardExactlyOnceRequestCutSweep kills the forward link right
+// after the k-th request frame. The batch lands, the ack dies with the
+// link; the resend must be absorbed by the receiver's watermark.
+func TestCrossShardExactlyOnceRequestCutSweep(t *testing.T) {
+	cutSweep(t, "cut_after_request", func(t *testing.T, k uint64) (*fault.NetPlan, clusterConfig) {
+		plan := fault.NewNetPlan(int64(k)).CutAfterFrames(k)
+		return plan, proxied(t, plan)
+	}, (*fault.NetPlan).Fired)
+}
+
+// TestCrossShardExactlyOnceAckCutSweep faults the ack stream instead:
+// the k-th ack frame is corrupted (the link then cut one frame later),
+// so the forwarder cannot trust the ack and must resend a batch the
+// receiver has already applied.
+func TestCrossShardExactlyOnceAckCutSweep(t *testing.T) {
+	cutSweep(t, "corrupt_ack", func(t *testing.T, k uint64) (*fault.NetPlan, clusterConfig) {
+		plan := fault.NewNetPlan(int64(k)).CorruptFrame(k).CutAfterFrames(k + 1)
+		return plan, dialing(plan.Dialer())
+	}, func(p *fault.NetPlan) bool { return p.Counters().Corruptions > 0 })
+}
+
+// TestCrossShardExactlyOnceDialFailures covers the boundary before any
+// frame: the first dials fail outright (the link is down), then heal.
+func TestCrossShardExactlyOnceDialFailures(t *testing.T) {
+	var remaining atomic.Int32
+	remaining.Store(3)
+	c := startCluster(t, 2, dialing(func(addr string, timeout time.Duration) (net.Conn, error) {
+		if remaining.Add(-1) >= 0 {
+			return nil, errors.New("injected: link down")
+		}
+		return net.DialTimeout("tcp", addr, timeout)
+	}))
+	runCrossShardRounds(t, c, 2)
+	if left := remaining.Load(); left > 0 {
+		t.Fatalf("%d injected dial failures never consumed", left)
+	}
+}
+
+// TestCrossShardBatchRedeliveryCounters pins the dedup bookkeeping: a
+// cut-ack redelivery must show up in shard.ingest_dups on the receiver,
+// while shard.ingested counts each event exactly once.
+func TestCrossShardBatchRedeliveryCounters(t *testing.T) {
+	c := startCluster(t, 2, proxied(t, fault.NewNetPlan(7).CutAfterFrames(1)))
+	runCrossShardRounds(t, c, 2)
+	events, dups := ingested(c.nodes[1])
+	if events != 2 {
+		t.Fatalf("shard.ingested = %d, want 2 (one per cross-shard event)", events)
 	}
 	if dups == 0 {
 		t.Fatal("shard.ingest_dups = 0: the lost-ack redelivery was never observed")

@@ -86,7 +86,7 @@ func TestObservabilityDocCoverage(t *testing.T) {
 	}
 
 	declared := map[string]bool{}
-	declRE := regexp.MustCompile(`(?m)^func ((?:Test|Benchmark)\w+)\(`)
+	declRE := regexp.MustCompile(`(?m)^func ((?:Test|Benchmark|Fuzz)\w+)\(`)
 	err = filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
 			return err
@@ -106,8 +106,12 @@ func TestObservabilityDocCoverage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	citeRE := regexp.MustCompile(`\b(?:Test|Benchmark)[A-Z]\w*`)
-	for _, path := range []string{"EXPERIMENTS.md", "DESIGN.md"} {
+	citeRE := regexp.MustCompile(`\b(?:Test|Benchmark|Fuzz)[A-Z]\w*`)
+	docs, err := filepath.Glob("docs/*.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, path := range append([]string{"EXPERIMENTS.md", "DESIGN.md", "README.md"}, docs...) {
 		raw, err := os.ReadFile(path)
 		if err != nil {
 			t.Fatal(err)
