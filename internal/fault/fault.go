@@ -281,19 +281,19 @@ func (w *File) Truncate(size int64) error {
 // the descriptor.
 func (w *File) Close() error { return w.f.Close() }
 
-// MaxCutPoints caps Enumerate. Every sweep in the repository stops far
+// maxCutPoints caps Enumerate. Every sweep in the repository stops far
 // below it; an armed fault still firing here means the attacked stream
 // never ends, which is a bug, not coverage.
-const MaxCutPoints = 1024
+const maxCutPoints = 1024
 
 // Enumerate is the cut-point enumerator every sweep shares: it runs
 // try(n) for n = 1, 2, … with a fault armed at position n, and stops at
 // the first n whose fault did not fire — the attacked run had fewer
 // than n positions, so every earlier one was visited. It returns how
 // many positions fired. An error from try, or a fault still firing at
-// MaxCutPoints, ends the sweep with an error naming the position.
+// maxCutPoints, ends the sweep with an error naming the position.
 func Enumerate(try func(n uint64) (fired bool, err error)) (uint64, error) {
-	for n := uint64(1); n <= MaxCutPoints; n++ {
+	for n := uint64(1); n <= maxCutPoints; n++ {
 		fired, err := try(n)
 		if err != nil {
 			return n - 1, fmt.Errorf("cut point %d: %w", n, err)
@@ -302,5 +302,5 @@ func Enumerate(try func(n uint64) (fired bool, err error)) (uint64, error) {
 			return n - 1, nil
 		}
 	}
-	return MaxCutPoints, fmt.Errorf("fault: armed fault still fires at cut point %d", MaxCutPoints)
+	return maxCutPoints, fmt.Errorf("fault: armed fault still fires at cut point %d", maxCutPoints)
 }

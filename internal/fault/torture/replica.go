@@ -111,18 +111,23 @@ func follow(addr, path string, w *wire) (*follower, error) {
 	return &follower{m: m, rep: rep, wire: w}, nil
 }
 
-// stop waits until done holds (the armed faults cost redials, so the
-// deadline is generous), takes the link down, stops the replica and
-// closes its store. It returns the replica's resume position.
-func (f *follower) stop(done func(repl.Status) bool) (applied uint64, err error) {
+// wait waits until done holds; the armed faults cost redials, so the
+// deadline is generous.
+func (f *follower) wait(done func(repl.Status) bool) error {
 	deadline := time.Now().Add(20 * time.Second)
 	for !done(f.rep.Status()) {
 		if time.Now().After(deadline) {
-			err = fmt.Errorf("replica stuck at %d", f.rep.Status().AppliedLSN)
-			break
+			return fmt.Errorf("replica stuck at %d", f.rep.Status().AppliedLSN)
 		}
 		time.Sleep(time.Millisecond)
 	}
+	return nil
+}
+
+// stop waits until done holds, takes the link down, stops the replica
+// and closes its store. It returns the replica's resume position.
+func (f *follower) stop(done func(repl.Status) bool) (applied uint64, err error) {
+	err = f.wait(done)
 	f.wire.cut()
 	f.rep.Stop()
 	applied = f.rep.Status().AppliedLSN
@@ -148,18 +153,18 @@ func verifyReplica(path string, h *history, upto int64) error {
 }
 
 // addLink counts one verified link position and what its plan did.
-func (r *Result) addLink(plan *fault.NetPlan) {
+func (res *result) addLink(plan *fault.NetPlan) {
 	c := plan.Counters()
-	r.Points++
-	r.Link.Frames += c.Frames
-	r.Link.Cuts += c.Cuts
-	r.Link.Corruptions += c.Corruptions
-	r.Link.Duplicates += c.Duplicates
+	res.points++
+	res.link.Frames += c.Frames
+	res.link.Cuts += c.Cuts
+	res.link.Corruptions += c.Corruptions
+	res.link.Duplicates += c.Duplicates
 }
 
-// recordCut streams a finished workload's log to a real replica, one
+// sweepRecordCut streams a finished workload's log to a real replica, one
 // record per frame, and cuts the link after every frame.
-func recordCut(dir string, cfg Config) (*Result, error) {
+func sweepRecordCut(dir string, cfg config) (*result, error) {
 	w, err := openWorkload(filepath.Join(dir, "p.eos"), nil)
 	if err != nil {
 		return nil, err
@@ -179,7 +184,7 @@ func recordCut(dir string, cfg Config) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	res := &Result{Commits: commits, Records: len(h.recs)}
+	res := &result{commits: commits, records: len(h.recs)}
 	end := h.end()
 	_, err = fault.Enumerate(func(n uint64) (bool, error) {
 		rp := filepath.Join(dir, fmt.Sprintf("cut-%d", n), "r.eos")
@@ -219,28 +224,28 @@ func recordCut(dir string, cfg Config) (*Result, error) {
 	return res, err
 }
 
-// link runs the workload live against a replica whose stream — or, for
-// a Rejoin row, whose anti-entropy rejoin — has the row's fault armed at
-// every frame position.
-func link(dir string, row Row) (*Result, error) {
-	res := &Result{}
+// sweepLink runs the workload live against a replica whose stream — or,
+// for a rejoin row, whose anti-entropy rejoin — has the row's fault
+// armed at every frame position.
+func sweepLink(dir string, r row) (*result, error) {
+	res := &result{}
 	_, err := fault.Enumerate(func(n uint64) (bool, error) {
 		plan := fault.NewNetPlan(int64(n))
-		if row.Fault == LinkCorrupt {
+		if r.attack == linkCorrupt {
 			plan.CorruptFrame(n)
 		} else {
 			plan.CutAfterFrames(n).DuplicateFrames(0.1)
 		}
-		sub := filepath.Join(dir, fmt.Sprintf("%s-%d", row.Name, n))
+		sub := filepath.Join(dir, fmt.Sprintf("%s-%d", r.name, n))
 		if err := os.MkdirAll(sub, 0o755); err != nil {
 			return false, err
 		}
 		defer os.RemoveAll(sub)
-		commits, err := linkOnce(sub, row, plan)
+		commits, err := linkOnce(sub, r, plan)
 		if err != nil {
 			return false, err
 		}
-		res.Commits = commits
+		res.commits = commits
 		res.addLink(plan)
 		return plan.Fired(), nil
 	})
@@ -248,32 +253,43 @@ func link(dir string, row Row) (*Result, error) {
 }
 
 // linkOnce runs one primary+replica session with plan on the replica's
-// dials. For a Rejoin row the first sync runs clean; then the replica
-// stops, the primary drifts and checkpoints its log away, and the plan
-// attacks the reconnect, which must reconcile instead of resume.
-func linkOnce(dir string, row Row, plan *fault.NetPlan) (commits int, err error) {
+// dials; the hub frames the stream with its default batching, the shape
+// production traffic has. A bootstrap row attacks the first sync. For a
+// rejoin row the first sync runs clean; then the replica stops, the
+// primary drifts and checkpoints its log away, and the plan attacks the
+// reconnect, which must reconcile instead of resume. Either way the
+// stopped replica must equal the replay of the primary's full log.
+func linkOnce(dir string, r row, plan *fault.NetPlan) (commits int, err error) {
 	w, err := openWorkload(filepath.Join(dir, "p.eos"), nil)
 	if err != nil {
 		return 0, err
 	}
-	p, err := serve(w, repl.HubOptions{MaxBatchBytes: 1, PingInterval: 20 * time.Millisecond})
+	p, err := serve(w, repl.HubOptions{PingInterval: 20 * time.Millisecond})
 	if err != nil {
 		return 0, err
 	}
 	defer p.close()
 	rp := filepath.Join(dir, "r.eos")
 	first := &wire{dial: plan.Dialer()}
-	if row.Rejoin {
+	if r.rejoin {
 		first = &wire{}
 	}
 	f, err := follow(p.addr, rp, first)
 	if err != nil {
 		return 0, err
 	}
+	if !r.rejoin {
+		// A stuck replica stops the pacing and fails the stop below.
+		w.pace = func() {
+			if f.wait(caughtUp(int64(w.m.Log().End()))) != nil {
+				w.pace = nil
+			}
+		}
+	}
 	// The workload commits while the stream runs.
-	_, commits, err = w.run(row.Config)
-	if err == nil && commits != row.Config.Txns {
-		err = fmt.Errorf("fault-free primary acked %d/%d txns", commits, row.Config.Txns)
+	_, commits, err = w.run(r.cfg)
+	if err == nil && commits != r.cfg.txns {
+		err = fmt.Errorf("fault-free primary acked %d/%d txns", commits, r.cfg.txns)
 	}
 	if _, serr := f.stop(caughtUp(int64(w.m.Log().End()))); err == nil {
 		err = serr
@@ -281,25 +297,27 @@ func linkOnce(dir string, row Row, plan *fault.NetPlan) (commits int, err error)
 	if err != nil {
 		return commits, err
 	}
-	if row.Rejoin {
-		w.bump(row.Config.Objects) // drift past the stopped replica
+	if r.rejoin {
+		w.bump(r.cfg.objects) // drift past the stopped replica
 	}
 	// The model is read before a checkpoint can discard the log.
 	h, _, err := readHistory(w.path)
-	if err != nil || !row.Rejoin {
+	if err != nil {
 		return commits, err
 	}
-	if err := w.m.Checkpoint(); err != nil {
-		return commits, err
-	}
-	if w.m.Log().Base() == 0 {
-		return commits, fmt.Errorf("checkpoint retained the log; rejoin would resume, not reconcile")
-	}
-	if f, err = follow(p.addr, rp, &wire{dial: plan.Dialer()}); err != nil {
-		return commits, err
-	}
-	if _, err := f.stop(caughtUp(int64(w.m.Log().End()))); err != nil {
-		return commits, fmt.Errorf("rejoin: %w", err)
+	if r.rejoin {
+		if err := w.m.Checkpoint(); err != nil {
+			return commits, err
+		}
+		if w.m.Log().Base() == 0 {
+			return commits, fmt.Errorf("checkpoint retained the log; rejoin would resume, not reconcile")
+		}
+		if f, err = follow(p.addr, rp, &wire{dial: plan.Dialer()}); err != nil {
+			return commits, err
+		}
+		if _, err := f.stop(caughtUp(int64(w.m.Log().End()))); err != nil {
+			return commits, fmt.Errorf("rejoin: %w", err)
+		}
 	}
 	return commits, verifyReplica(rp, h, h.end())
 }

@@ -1,5 +1,5 @@
-// Package torture is the fault harness: one table of rows (Table), one
-// Run, one Result. Every row drives the same trigger workload — TAcct
+// Package torture is the fault harness: one table of rows, one run,
+// one result. Every row drives the same trigger workload — TAcct
 // objects in one cluster, each with the perpetual immediate trigger
 // Mirror active, then Bump transactions round-robin over them — attacks
 // it one way, and holds every store the attack leaves behind to the
@@ -32,9 +32,10 @@
 //     converge to the full log's replay.
 //   - link-cut, link-corrupt and their -rejoin twins: the live stream
 //     (or, for -rejoin, the anti-entropy rejoin after the primary
-//     checkpointed the replica's position away) is cut, or has a byte
-//     flipped, at every frame while the workload commits; the replica
-//     must converge to the full log's replay.
+//     checkpointed the replica's position away), framed by the hub's
+//     default batching, is cut, or has a byte flipped, at every frame
+//     while the workload commits; the replica must converge to the full
+//     log's replay.
 //
 // The crash, record-cut and link rows enumerate their fault positions
 // with fault.Enumerate.
@@ -58,72 +59,73 @@ import (
 	"ode/internal/wal"
 )
 
-// Config sizes the trigger workload.
-type Config struct {
-	Objects int // TAcct objects in the cluster
-	Txns    int // Bump transactions, round-robin over the objects
+// config sizes the trigger workload.
+type config struct {
+	objects int // TAcct objects in the cluster
+	txns    int // Bump transactions, round-robin over the objects
 }
 
-// Fault is how a row attacks the workload; the package comment
+// attack is how a row attacks the workload; the package comment
 // describes each.
-type Fault int
+type attack int
 
 const (
-	Truncate Fault = iota
-	SyncFail
-	Crash
-	RecordCut
-	LinkCut
-	LinkCorrupt
+	truncate attack = iota
+	syncFail
+	crash
+	recordCut
+	linkCut
+	linkCorrupt
 )
 
-// Row is one configuration of the harness.
-type Row struct {
-	Name   string
-	Fault  Fault
-	Config Config
-	Rejoin bool // link rows: attack the anti-entropy rejoin, not the bootstrap stream
+// row is one configuration of the harness.
+type row struct {
+	name   string
+	attack attack
+	cfg    config
+	rejoin bool // link rows: attack the anti-entropy rejoin, not the bootstrap stream
 }
 
-// Table is every row the harness runs.
-var Table = []Row{
-	{"truncate", Truncate, Config{Objects: 3, Txns: 24}, false},
-	{"fsync-fail", SyncFail, Config{Objects: 4, Txns: 80}, false},
-	{"crash", Crash, Config{Objects: 2, Txns: 12}, false},
-	{"record-cut", RecordCut, Config{Objects: 3, Txns: 20}, false},
-	{"link-cut", LinkCut, Config{Objects: 3, Txns: 10}, false},
-	{"link-corrupt", LinkCorrupt, Config{Objects: 3, Txns: 10}, false},
-	{"link-cut-rejoin", LinkCut, Config{Objects: 3, Txns: 10}, true},
-	{"link-corrupt-rejoin", LinkCorrupt, Config{Objects: 3, Txns: 10}, true},
+// table is every row the harness runs.
+var table = []row{
+	{"truncate", truncate, config{objects: 3, txns: 24}, false},
+	{"fsync-fail", syncFail, config{objects: 4, txns: 80}, false},
+	{"crash", crash, config{objects: 2, txns: 12}, false},
+	{"record-cut", recordCut, config{objects: 3, txns: 20}, false},
+	{"link-cut", linkCut, config{objects: 3, txns: 10}, false},
+	{"link-corrupt", linkCorrupt, config{objects: 3, txns: 10}, false},
+	{"link-cut-rejoin", linkCut, config{objects: 3, txns: 10}, true},
+	{"link-corrupt-rejoin", linkCorrupt, config{objects: 3, txns: 10}, true},
 }
 
-// Result reports what one row covered.
-type Result struct {
-	Commits   int    // workload transactions acknowledged
-	Failed    int    // workload transactions that saw an injected fault
-	Records   int    // records in the attacked log
-	Points    int    // fault positions verified
-	MidRecord int    // truncate: points inside a record
-	Syncs     uint64 // crash: fsyncs of a run that did not crash
-	Heals     uint64 // fsync-fail: WAL heals of the faulted store
-	Link      fault.NetCounters
+// result reports what one row covered.
+type result struct {
+	commits   int    // workload transactions acknowledged
+	failed    int    // workload transactions that saw an injected fault
+	records   int    // records in the attacked log
+	points    int    // fault positions verified
+	midRecord int    // truncate: points inside a record
+	syncs     uint64 // crash: fsyncs of a run that did not crash
+	heals     uint64 // fsync-fail: WAL heals of the faulted store
+	link      fault.NetCounters
 }
 
-// Run runs one row in dir and reports its coverage. Any violated
+// run runs one row in dir and reports its coverage. Any violated
 // invariant ends the row with an error naming the fault position.
-func Run(dir string, row Row) (*Result, error) {
-	switch row.Fault {
-	case Truncate:
-		return truncate(dir, row.Config)
-	case SyncFail:
-		return syncFail(dir, row.Config)
-	case Crash:
-		return crash(dir, row.Config)
-	case RecordCut:
-		return recordCut(dir, row.Config)
-	default:
-		return link(dir, row)
+func run(dir string, r row) (*result, error) {
+	switch r.attack {
+	case truncate:
+		return sweepTruncate(dir, r.cfg)
+	case syncFail:
+		return sweepSyncFail(dir, r.cfg)
+	case crash:
+		return sweepCrash(dir, r.cfg)
+	case recordCut:
+		return sweepRecordCut(dir, r.cfg)
+	case linkCut, linkCorrupt:
+		return sweepLink(dir, r)
 	}
+	return nil, fmt.Errorf("torture: row %q has no attack %d", r.name, r.attack)
 }
 
 const (
@@ -172,6 +174,10 @@ type workload struct {
 	m    *eos.Manager
 	db   *core.Database
 	refs []core.Ref
+	// pace, when set, runs after every workload transaction: the
+	// bootstrap link rows wait there for the replica, so the stream has
+	// a frame per transaction however loaded the machine is.
+	pace func()
 }
 
 // openWorkload opens the primary store at path, its log file beneath
@@ -218,6 +224,9 @@ func (w *workload) setup(n int) error {
 	if err := tx.Commit(); err != nil {
 		return fmt.Errorf("torture: setup commit: %w", err)
 	}
+	if w.pace != nil {
+		w.pace()
+	}
 	return nil
 }
 
@@ -236,16 +245,19 @@ func (w *workload) bump(txns int) []int {
 		if tx.Commit() == nil {
 			acked[obj]++
 		}
+		if w.pace != nil {
+			w.pace()
+		}
 	}
 	return acked
 }
 
-// run is setup plus cfg.Txns bumps, with the acknowledged total.
-func (w *workload) run(cfg Config) (acked []int, commits int, err error) {
-	if err := w.setup(cfg.Objects); err != nil {
+// run is setup plus cfg.txns bumps, with the acknowledged total.
+func (w *workload) run(cfg config) (acked []int, commits int, err error) {
+	if err := w.setup(cfg.objects); err != nil {
 		return nil, 0, err
 	}
-	acked = w.bump(cfg.Txns)
+	acked = w.bump(cfg.txns)
 	for _, n := range acked {
 		commits += n
 	}
@@ -415,9 +427,9 @@ func sameObjects(m *eos.Manager, want map[storage.OID][]byte) error {
 	return nil
 }
 
-// truncate cuts a fault-free run's log at every record boundary and
+// sweepTruncate cuts a fault-free run's log at every record boundary and
 // inside every record.
-func truncate(dir string, cfg Config) (*Result, error) {
+func sweepTruncate(dir string, cfg config) (*result, error) {
 	w, err := openWorkload(filepath.Join(dir, "work.eos"), nil)
 	if err != nil {
 		return nil, err
@@ -427,8 +439,8 @@ func truncate(dir string, cfg Config) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	if commits != cfg.Txns {
-		return nil, fmt.Errorf("torture: fault-free workload acked %d/%d txns", commits, cfg.Txns)
+	if commits != cfg.txns {
+		return nil, fmt.Errorf("torture: fault-free workload acked %d/%d txns", commits, cfg.txns)
 	}
 	// Nothing may have leaked into the page file, or truncating the log
 	// would not be a reachable crash state.
@@ -443,7 +455,7 @@ func truncate(dir string, cfg Config) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	res := &Result{Commits: commits, Records: len(h.recs)}
+	res := &result{commits: commits, records: len(h.recs)}
 	points := map[int64]bool{0: false} // point -> inside a record
 	start := int64(0)
 	for _, end := range h.ends {
@@ -460,32 +472,32 @@ func truncate(dir string, cfg Config) (*Result, error) {
 		if err := check(w.path, walBytes[:t], h.replay(t), nil); err != nil {
 			return nil, fmt.Errorf("truncated at %d: %w", t, err)
 		}
-		res.Points++
+		res.points++
 		if inside {
-			res.MidRecord++
+			res.midRecord++
 		}
 	}
 	return res, nil
 }
 
-// syncFail fails fsync at a seeded rate after the setup commit, then
+// sweepSyncFail fails fsync at a seeded rate after the setup commit, then
 // crashes: the recovered store must be exactly the acknowledged bumps.
-func syncFail(dir string, cfg Config) (*Result, error) {
+func sweepSyncFail(dir string, cfg config) (*result, error) {
 	sched := fault.NewSchedule()
 	w, err := openWorkload(filepath.Join(dir, "faulty.eos"), sched)
 	if err != nil {
 		return nil, err
 	}
-	if err := w.setup(cfg.Objects); err != nil {
+	if err := w.setup(cfg.objects); err != nil {
 		return nil, err
 	}
 	sched.FailSyncRate(syncFailRate, syncFailSeed)
-	acked := w.bump(cfg.Txns)
-	res := &Result{Points: 1, Heals: w.m.Stats().WALHeals}
+	acked := w.bump(cfg.txns)
+	res := &result{points: 1, heals: w.m.Stats().WALHeals}
 	for _, n := range acked {
-		res.Commits += n
+		res.commits += n
 	}
-	res.Failed = cfg.Txns - res.Commits
+	res.failed = cfg.txns - res.commits
 
 	// Crash: the faulted store is abandoned and its files reopened
 	// without the fault wrapper (the injected failures died with it).
@@ -493,14 +505,14 @@ func syncFail(dir string, cfg Config) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	res.Records = len(h.recs)
+	res.records = len(h.recs)
 	return res, check(w.path, walBytes, h.replay(h.end()), acked)
 }
 
-// crash kills the workload at its n-th fsync for every n, and recovers
+// sweepCrash kills the workload at its n-th fsync for every n, and recovers
 // each state it leaves behind.
-func crash(dir string, cfg Config) (*Result, error) {
-	res := &Result{}
+func sweepCrash(dir string, cfg config) (*result, error) {
+	res := &result{}
 	_, err := fault.Enumerate(func(n uint64) (bool, error) {
 		sub := filepath.Join(dir, fmt.Sprintf("crash-%d", n))
 		if err := os.MkdirAll(sub, 0o755); err != nil {
@@ -514,7 +526,7 @@ func crash(dir string, cfg Config) (*Result, error) {
 			return false, err
 		}
 		if !crashed {
-			res.Syncs = sched.Counters().Syncs
+			res.syncs = sched.Counters().Syncs
 		}
 		// The store, crashed or not, is abandoned as a kill -9 would
 		// abandon it.
@@ -522,8 +534,8 @@ func crash(dir string, cfg Config) (*Result, error) {
 		if err != nil {
 			return false, err
 		}
-		res.Records = len(h.recs)
-		res.Points++
+		res.records = len(h.recs)
+		res.points++
 		return crashed, check(page, walBytes, h.replay(h.end()), nil)
 	})
 	return res, err
@@ -531,7 +543,7 @@ func crash(dir string, cfg Config) (*Result, error) {
 
 // runToCrash runs the workload under sched, absorbing the simulated
 // machine crash.
-func runToCrash(path string, cfg Config, sched *fault.Schedule) (crashed bool, err error) {
+func runToCrash(path string, cfg config, sched *fault.Schedule) (crashed bool, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			if _, ok := r.(fault.Crash); !ok {

@@ -1,16 +1,13 @@
 package torture
 
-import (
-	"strings"
-	"testing"
-)
+import "testing"
 
-// runRow runs the Table row called name and logs its coverage.
-func runRow(t *testing.T, name string) *Result {
+// runRow runs the table row called name and logs its coverage.
+func runRow(t *testing.T, name string) *result {
 	t.Helper()
-	for _, row := range Table {
-		if row.Name == name {
-			res, err := Run(t.TempDir(), row)
+	for _, r := range table {
+		if r.name == name {
+			res, err := run(t.TempDir(), r)
 			if err != nil {
 				t.Fatalf("%s: %v", name, err)
 			}
@@ -26,10 +23,10 @@ func runRow(t *testing.T, name string) *Result {
 // boundary and inside every record of the workload log.
 func TestTruncationSweep(t *testing.T) {
 	res := runRow(t, "truncate")
-	boundaries := res.Points - res.MidRecord
-	if res.Commits != 24 || res.Records < 48 || boundaries != res.Records+1 || res.MidRecord != 2*res.Records {
+	boundaries := res.points - res.midRecord
+	if res.commits != 24 || res.records < 48 || boundaries != res.records+1 || res.midRecord != 2*res.records {
 		t.Fatalf("coverage too thin: %d boundary + %d mid-record points over %d records, %d commits",
-			boundaries, res.MidRecord, res.Records, res.Commits)
+			boundaries, res.midRecord, res.records, res.commits)
 	}
 }
 
@@ -38,9 +35,9 @@ func TestTruncationSweep(t *testing.T) {
 // must be exactly the acknowledged prefix.
 func TestSyncFaultTorture(t *testing.T) {
 	res := runRow(t, "fsync-fail")
-	if res.Failed == 0 || res.Commits == 0 || res.Heals == 0 {
+	if res.failed == 0 || res.commits == 0 || res.heals == 0 {
 		t.Fatalf("failed %d, acked %d, heals %d: want faults that bite and a store that heals past them",
-			res.Failed, res.Commits, res.Heals)
+			res.failed, res.commits, res.heals)
 	}
 }
 
@@ -48,8 +45,8 @@ func TestSyncFaultTorture(t *testing.T) {
 // workload; every left-behind state must recover.
 func TestCrashPointPanics(t *testing.T) {
 	res := runRow(t, "crash")
-	if res.Syncs == 0 || uint64(res.Points) != res.Syncs+1 {
-		t.Fatalf("%d crash states over %d fsyncs, want one per fsync plus the clean run", res.Points, res.Syncs)
+	if res.syncs == 0 || uint64(res.points) != res.syncs+1 {
+		t.Fatalf("%d crash states over %d fsyncs, want one per fsync plus the clean run", res.points, res.syncs)
 	}
 }
 
@@ -61,25 +58,27 @@ func TestCrashPointPanics(t *testing.T) {
 func TestReplSweep(t *testing.T) {
 	t.Parallel()
 	res := runRow(t, "record-cut")
-	if res.Commits != 20 || res.Link.Cuts != uint64(res.Records) || res.Points != res.Records+1 {
+	if res.commits != 20 || res.link.Cuts != uint64(res.records) || res.points != res.records+1 {
 		t.Fatalf("%d cuts, %d points over %d records, %d commits: want a cut at every record",
-			res.Link.Cuts, res.Points, res.Records, res.Commits)
+			res.link.Cuts, res.points, res.records, res.commits)
 	}
 }
 
 // TestLinkSweep cuts, and flips a byte in, every frame of the live
-// stream and of the anti-entropy rejoin; the replica must converge.
+// stream and of the anti-entropy rejoin; at every position the replica
+// must converge to the replay of the primary's log.
 func TestLinkSweep(t *testing.T) {
 	t.Parallel()
-	for _, row := range Table {
-		if strings.HasPrefix(row.Name, "link-") {
-			t.Run(row.Name, func(t *testing.T) {
-				t.Parallel()
-				res := runRow(t, row.Name)
-				if fired := res.Link.Cuts + res.Link.Corruptions; res.Points < 3 || fired != uint64(res.Points-1) {
-					t.Fatalf("%d faults fired over %d positions, want one at every position but the last", fired, res.Points)
-				}
-			})
+	for _, r := range table {
+		if r.attack != linkCut && r.attack != linkCorrupt {
+			continue
 		}
+		t.Run(r.name, func(t *testing.T) {
+			t.Parallel()
+			res := runRow(t, r.name)
+			if fired := res.link.Cuts + res.link.Corruptions; res.points < 3 || fired != uint64(res.points-1) {
+				t.Fatalf("%d faults fired over %d positions, want one at every position but the last", fired, res.points)
+			}
+		})
 	}
 }
