@@ -3,9 +3,9 @@
 // the catalog, every object envelope (class, flags, payload preview),
 // every persistent TriggerState (§5.4.1), and the object→trigger index.
 //
-// It also prints every registered storage/txn/lock counter, derived
-// generically from the obs.Registry, so a counter added to any Stats
-// struct shows up here without a hand-written print line.
+// It also prints every metric the storage, txn and lock managers
+// register, listed generically from the obs.Registry, so a counter a
+// package registers shows up here without a hand-written print line.
 //
 // With -traces it instead connects to a running ode-server and exports
 // the firing-trace ring as JSON (the server's "trace" op):
@@ -135,9 +135,14 @@ func main() {
 		return
 	}
 	if *verifyAddr != "" {
-		// Unlike the other fetch modes, a failed audit still carries a
-		// report (which OIDs diverged), so print it before failing.
-		if err := fetchVerify(*verifyAddr, *repair, *verifyClass); err != nil {
+		req := map[string]any{"op": repl.OpVerify}
+		if *repair {
+			req["repair"] = true
+		}
+		if *verifyClass != "" {
+			req["class"] = *verifyClass
+		}
+		if err := fetchJSON(*verifyAddr, req); err != nil {
 			log.Fatal(err)
 		}
 		return
@@ -253,18 +258,10 @@ func main() {
 		fmt.Printf("  oid %-5d (class %s) %s\n", o.oid, o.class, o.body)
 	}
 
-	// Version-store summary (MVCC snapshot reads): the full counters are
-	// in the generic stats below as obj.versions_*; this line pulls out
-	// what an operator actually checks — chain pressure, GC progress, and
-	// whether a forgotten pin is holding versions alive.
-	vs := store.VersionStats()
-	fmt.Printf("\nversion store: snapshot lsn %d, %d chains (%d versions live, longest %d), %d trimmed over %d gc runs, %d pins (oldest pinned lsn %d)\n",
-		store.SnapshotLSN(), vs.VersionsChains, vs.VersionsLive, vs.VersionsChainMax,
-		vs.VersionsTrimmed, vs.VersionsGcRuns, vs.VersionsPins, vs.VersionsOldestPinLsn)
-
-	// Every subsystem counter, listed generically from the registry: a
-	// counter added to storage/txn/lock Stats appears here (and in the
-	// server's /metrics) without a hand-written print line.
+	// Every subsystem metric, listed generically from the registry: a
+	// counter a package registers appears here (and in the server's
+	// /metrics) without a hand-written print line. The version store's
+	// figures are the obj.versions_* rows and txn.snapshot_lsn.
 	reg := obs.NewRegistry()
 	core.RegisterSubsystems(reg, store, tm, lm)
 	fmt.Printf("\nstats:\n")
@@ -329,22 +326,41 @@ func fetchChain(cause string, addrs []string) error {
 	return nil
 }
 
-// fetchVerify runs the repl.verify op and prints the VerifyReport even
-// when the audit failed (diverged, lagged, repair exhausted): the report
-// is the diagnosis, the error is the verdict.
-func fetchVerify(addr string, repair bool, class string) error {
+// fetchWire asks the server's proto op what this very connection
+// negotiated, preferring the binary upgrade and falling back to the
+// JSON protocol against a -protocol json server.
+func fetchWire(addr string) error {
+	c, err := server.DialOptions(addr, server.ClientOptions{Binary: true})
+	if err != nil && errors.Is(err, server.ErrBinaryDisabled) {
+		c, err = server.Dial(addr)
+	}
+	if err != nil {
+		return err
+	}
+	defer c.Close()
+	resp, err := c.Call(&server.Request{Op: "proto"})
+	if err != nil {
+		return err
+	}
+	pretty, err := json.MarshalIndent(resp.Result, "", "  ")
+	if err != nil {
+		return err
+	}
+	fmt.Println(string(pretty))
+	return nil
+}
+
+// fetchJSON sends one request to a running ode-server, prints the
+// response's result as indented JSON whenever there is one, then fails
+// if the server reported an error (the -traces/-repl/-flight/-verify
+// modes). A failed audit still carries its report — which OIDs
+// diverged — so the diagnosis prints before the verdict.
+func fetchJSON(addr string, req map[string]any) error {
 	conn, err := net.Dial("tcp", addr)
 	if err != nil {
 		return err
 	}
 	defer conn.Close()
-	req := map[string]any{"op": repl.OpVerify}
-	if repair {
-		req["repair"] = true
-	}
-	if class != "" {
-		req["class"] = class
-	}
 	if err := json.NewEncoder(conn).Encode(req); err != nil {
 		return err
 	}
@@ -374,65 +390,6 @@ func fetchVerify(addr string, repair bool, class string) error {
 		return fmt.Errorf("server: %s", resp.Error)
 	}
 	return nil
-}
-
-// fetchWire asks the server's proto op what this very connection
-// negotiated, preferring the binary upgrade and falling back to the
-// JSON protocol against a -protocol json server.
-func fetchWire(addr string) error {
-	c, err := server.DialOptions(addr, server.ClientOptions{Binary: true})
-	if err != nil && errors.Is(err, server.ErrBinaryDisabled) {
-		c, err = server.Dial(addr)
-	}
-	if err != nil {
-		return err
-	}
-	defer c.Close()
-	resp, err := c.Call(&server.Request{Op: "proto"})
-	if err != nil {
-		return err
-	}
-	pretty, err := json.MarshalIndent(resp.Result, "", "  ")
-	if err != nil {
-		return err
-	}
-	fmt.Println(string(pretty))
-	return nil
-}
-
-// fetchJSON sends one request to a running ode-server and prints the
-// response's result as indented JSON (the -traces/-repl/-flight modes).
-func fetchJSON(addr string, req map[string]any) error {
-	conn, err := net.Dial("tcp", addr)
-	if err != nil {
-		return err
-	}
-	defer conn.Close()
-	if err := json.NewEncoder(conn).Encode(req); err != nil {
-		return err
-	}
-	line, err := bufio.NewReader(conn).ReadBytes('\n')
-	if err != nil {
-		return err
-	}
-	var resp struct {
-		OK     bool            `json:"ok"`
-		Error  string          `json:"error"`
-		Result json.RawMessage `json:"result"`
-	}
-	if err := json.Unmarshal(line, &resp); err != nil {
-		return err
-	}
-	if !resp.OK {
-		return fmt.Errorf("server: %s", resp.Error)
-	}
-	var pretty bytes.Buffer
-	if err := json.Indent(&pretty, resp.Result, "", "  "); err != nil {
-		return err
-	}
-	pretty.WriteByte('\n')
-	_, err = pretty.WriteTo(os.Stdout)
-	return err
 }
 
 func preview(data []byte, full bool) string {

@@ -187,9 +187,6 @@ func (e *Encoder) Next() CodedSymbol {
 	return s
 }
 
-// Produced returns how many symbols the encoder has emitted so far.
-func (e *Encoder) Produced() uint64 { return e.next }
-
 // ErrDecodeOverrun is returned by AddSymbols when the decoder consumed
 // far more symbols than any plausible difference would need, signalling
 // that the caller should fall back to a full transfer.
@@ -324,6 +321,3 @@ func (d *Decoder) Decoded() bool {
 func (d *Decoder) Diff() (remoteOnly, localOnly []Item) {
 	return d.remote, d.gone
 }
-
-// Consumed returns how many remote symbols the decoder has ingested.
-func (d *Decoder) Consumed() uint64 { return d.local.Produced() }

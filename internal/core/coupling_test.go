@@ -192,10 +192,10 @@ func TestDependentFiresOnlyAfterCommit(t *testing.T) {
 	if len(marks(t, db, ref)) != 1 {
 		t.Fatal("dependent action effect missing")
 	}
-	if db.Stats().FiredDependent != 1 {
-		t.Fatalf("stats: %+v", db.Stats())
+	if got := metric(t, db, "core.fired_dependent"); got != 1 {
+		t.Fatalf("core.fired_dependent = %d, want 1", got)
 	}
-	if db.Txns().Stats().System == 0 {
+	if metric(t, db, "txn.system") == 0 {
 		t.Fatal("dependent action did not use a system transaction")
 	}
 }
@@ -248,8 +248,8 @@ func TestIndependentSurvivesAbort(t *testing.T) {
 	if len(marks(t, db, ref)) != 1 {
 		t.Fatal("!dependent effect not persisted after abort")
 	}
-	if db.Stats().FiredIndependent != 1 {
-		t.Fatalf("stats: %+v", db.Stats())
+	if got := metric(t, db, "core.fired_independent"); got != 1 {
+		t.Fatalf("core.fired_independent = %d, want 1", got)
 	}
 }
 
@@ -294,9 +294,8 @@ func TestDetachedActionErrorCounted(t *testing.T) {
 	if err := tx2.Commit(); err != nil {
 		t.Fatalf("detached failure must not fail the detecting txn: %v", err)
 	}
-	st := db.Stats()
-	if st.ActionErrors != 1 || st.FiredDependent != 1 {
-		t.Fatalf("stats = %+v", st)
+	if errs, fired := metric(t, db, "core.action_errors"), metric(t, db, "core.fired_dependent"); errs != 1 || fired != 1 {
+		t.Fatalf("action_errors=%d fired_dependent=%d, want 1,1", errs, fired)
 	}
 }
 

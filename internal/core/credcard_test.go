@@ -103,6 +103,17 @@ func newTestDB(t testing.TB, classes ...*Class) *Database {
 	return db
 }
 
+// metric reads one counter from db's registry, where every subsystem's
+// counters live.
+func metric(t testing.TB, db *Database, name string) uint64 {
+	t.Helper()
+	v, ok := db.Observability().Value(name)
+	if !ok {
+		t.Fatalf("no metric %s", name)
+	}
+	return v
+}
+
 // newCard commits a fresh card and returns its Ref.
 func newCard(t testing.TB, db *Database, limit float64, goodHist bool) Ref {
 	t.Helper()

@@ -140,26 +140,6 @@ func (bc *BoundClass) TriggerByName(name string) (*BoundTrigger, bool) {
 	return bt, ok
 }
 
-// Stats counts trigger-system activity; the experiments read these. It
-// is a snapshot assembled from the database's obs.Registry counters (see
-// observe.go and docs/OBSERVABILITY.md), kept as a plain struct so
-// existing callers are untouched.
-type Stats struct {
-	EventsPosted     uint64 // basic events posted to objects
-	FastPathSkips    uint64 // postings skipped via the header bit (§5.4.5 fn 3)
-	TriggersAdvanced uint64 // FSM advances that changed state (write locks taken)
-	MasksEvaluated   uint64
-	FiredImmediate   uint64
-	FiredDeferred    uint64
-	FiredDependent   uint64
-	FiredIndependent uint64
-	ActionErrors     uint64 // detached actions that ended in an aborted system txn (permanent)
-	ActionPanics     uint64 // trigger actions that panicked (recovered, treated as errors)
-	DetachedRetries  uint64 // detached system txns re-run after a retryable abort (deadlock, transient commit failure)
-	DetachedDropped  uint64 // detached firings lost for good (permanent error or retry budget exhausted)
-	SnapshotPosts    uint64 // postings inside snapshot transactions (local rules only; persistent processing suppressed)
-}
-
 // Database is one Ode database: a storage manager plus the object and
 // trigger run-time. All sessions (and, through a shared store file,
 // processes) see the same persistent TriggerStates, which is what makes
@@ -177,20 +157,12 @@ type Database struct {
 	txnStates  map[txn.ID]*txnState
 	detachWait sync.WaitGroup
 
-	// Observability (see observe.go): the metric registry unifying this
-	// engine's counters/histograms with the storage, txn, and lock Stats,
-	// and the sampled firing-trace recorder.
+	// Observability (see observe.go): the metric registry holding this
+	// engine's counters/histograms beside those the storage, txn, and
+	// lock managers register, and the sampled firing-trace recorder.
 	obsReg *obs.Registry
 	met    *coreMetrics
 	tracer *obs.Tracer
-
-	// Detached-execution retry policy (§5.5 self-healing): a dependent
-	// or !dependent firing whose system transaction aborts for a
-	// transient reason (deadlock victim, commit failure) is retried up
-	// to detachedRetries times with capped exponential backoff starting
-	// at detachedBackoff. See SetDetachedRetryPolicy.
-	detachedRetries int
-	detachedBackoff time.Duration
 
 	// readOnly marks the database a read replica: every mutating entry
 	// point fails fast with ErrReadOnly. Reads, read-only method
@@ -236,21 +208,19 @@ func NewDatabase(store storage.Manager) (*Database, error) {
 	obsReg, met, tracer := wireObservability(store, tm, lm)
 	cc, _ := store.(commitCauser)
 	db := &Database{
-		store:           store,
-		lm:              lm,
-		tm:              tm,
-		om:              om,
-		reg:             event.NewRegistry(),
-		byName:          make(map[string]*BoundClass),
-		byID:            make(map[uint32]*BoundClass),
-		txnStates:       make(map[txn.ID]*txnState),
-		detachedRetries: DefaultDetachedRetries,
-		detachedBackoff: DefaultDetachedBackoff,
-		obsReg:          obsReg,
-		met:             met,
-		tracer:          tracer,
-		causes:          obs.NewCauses(),
-		cc:              cc,
+		store:     store,
+		lm:        lm,
+		tm:        tm,
+		om:        om,
+		reg:       event.NewRegistry(),
+		byName:    make(map[string]*BoundClass),
+		byID:      make(map[uint32]*BoundClass),
+		txnStates: make(map[txn.ID]*txnState),
+		obsReg:    obsReg,
+		met:       met,
+		tracer:    tracer,
+		causes:    obs.NewCauses(),
+		cc:        cc,
 	}
 	db.provenance.Store(true)
 	return db, nil
@@ -259,9 +229,6 @@ func NewDatabase(store storage.Manager) (*Database, error) {
 // SetProvenance enables or disables cause-ID assignment (on by
 // default).
 func (db *Database) SetProvenance(on bool) { db.provenance.Store(on) }
-
-// Provenance reports whether cause IDs are being assigned.
-func (db *Database) Provenance() bool { return db.provenance.Load() }
 
 // Causes returns the database's cause-ID source (tests pin the node ID
 // through it to make cross-node attribution deterministic).
@@ -283,38 +250,18 @@ func (db *Database) clearCommitCause(tx *txn.Txn) {
 	}
 }
 
-// Detached retry defaults: six attempts with 1ms→cap backoff resolve
-// every plausible deadlock/transient-commit storm without stalling the
-// committing goroutine for more than ~100ms in the worst case.
+// Detached-execution retry policy (§5.5 self-healing): a dependent or
+// !dependent firing whose system transaction aborts for a transient
+// reason (deadlock victim, commit failure) is retried up to
+// detachedRetryBudget times, sleeping detachedBackoffStart doubled per
+// retry up to detachedBackoffCap. Six retries resolve every plausible
+// deadlock/transient-commit storm without stalling the committing
+// goroutine for more than ~100ms in the worst case.
 const (
-	DefaultDetachedRetries = 6
-	DefaultDetachedBackoff = time.Millisecond
-	detachedBackoffCap     = 50 * time.Millisecond
+	detachedRetryBudget  = 6
+	detachedBackoffStart = time.Millisecond
+	detachedBackoffCap   = 50 * time.Millisecond
 )
-
-// SetDetachedRetryPolicy overrides how many times a detached
-// (dependent/!dependent) firing's system transaction is retried after a
-// retryable abort, and the initial backoff between attempts (doubled
-// per retry, capped). retries = 0 disables retry — every abort is
-// final, the pre-healing behavior.
-func (db *Database) SetDetachedRetryPolicy(retries int, backoff time.Duration) {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	if retries < 0 {
-		retries = 0
-	}
-	if backoff <= 0 {
-		backoff = DefaultDetachedBackoff
-	}
-	db.detachedRetries = retries
-	db.detachedBackoff = backoff
-}
-
-func (db *Database) detachedRetryPolicy() (int, time.Duration) {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	return db.detachedRetries, db.detachedBackoff
-}
 
 // SetReadOnly flips the database's replica gate; see the readOnly field.
 func (db *Database) SetReadOnly(ro bool) { db.readOnly.Store(ro) }
@@ -333,51 +280,14 @@ func (db *Database) writable() error {
 // Store returns the storage manager.
 func (db *Database) Store() storage.Manager { return db.store }
 
-// Locks returns the lock manager (experiments read its stats).
+// Locks returns the lock manager.
 func (db *Database) Locks() *lock.Manager { return db.lm }
 
 // Txns returns the transaction manager.
 func (db *Database) Txns() *txn.Manager { return db.tm }
 
-// Objects returns the object manager (used by the inspect tool).
-func (db *Database) Objects() *obj.Manager { return db.om }
-
 // Registry returns the database's event registry.
 func (db *Database) Registry() *event.Registry { return db.reg }
-
-// Stats returns a snapshot of trigger-system counters.
-func (db *Database) Stats() Stats {
-	m := db.met
-	return Stats{
-		EventsPosted:     m.eventsPosted.Value(),
-		FastPathSkips:    m.fastPathSkips.Value(),
-		TriggersAdvanced: m.triggersAdvanced.Value(),
-		MasksEvaluated:   m.masksEvaluated.Value(),
-		FiredImmediate:   m.firedImmediate.Value(),
-		FiredDeferred:    m.firedDeferred.Value(),
-		FiredDependent:   m.firedDependent.Value(),
-		FiredIndependent: m.firedIndependent.Value(),
-		ActionErrors:     m.actionErrors.Value(),
-		ActionPanics:     m.actionPanics.Value(),
-		DetachedRetries:  m.detachedRetries.Value(),
-		DetachedDropped:  m.detachedDropped.Value(),
-		SnapshotPosts:    m.snapshotPosts.Value(),
-	}
-}
-
-// ResetStats zeroes the trigger-engine counters (not the storage, txn,
-// or lock counters, which belong to their managers).
-func (db *Database) ResetStats() {
-	m := db.met
-	for _, c := range []*obs.Counter{
-		m.eventsPosted, m.fastPathSkips, m.triggersAdvanced, m.masksEvaluated,
-		m.firedImmediate, m.firedDeferred, m.firedDependent, m.firedIndependent,
-		m.actionErrors, m.actionPanics, m.detachedRetries, m.detachedDropped,
-		m.snapshotPosts,
-	} {
-		c.Reset()
-	}
-}
 
 // Close waits for in-flight detached trigger transactions and closes the
 // storage manager.

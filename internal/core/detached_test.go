@@ -117,15 +117,14 @@ func TestDetachedDeadlockVictimRetries(t *testing.T) {
 	if f0, f1 := fires[0].Load(), fires[1].Load(); f0 != 1 || f1 != 1 {
 		t.Errorf("fires = %d,%d, want 1,1", f0, f1)
 	}
-	st := db.Stats()
-	if st.FiredDependent != 2 {
-		t.Errorf("FiredDependent = %d, want 2", st.FiredDependent)
+	if got := metric(t, db, "core.fired_dependent"); got != 2 {
+		t.Errorf("core.fired_dependent = %d, want 2", got)
 	}
-	if st.DetachedRetries < 1 {
-		t.Errorf("DetachedRetries = %d, want >= 1 (a deadlock victim must have retried)", st.DetachedRetries)
+	if got := metric(t, db, "core.detached_retries"); got < 1 {
+		t.Errorf("core.detached_retries = %d, want >= 1 (a deadlock victim must have retried)", got)
 	}
-	if st.DetachedDropped != 0 || st.ActionErrors != 0 {
-		t.Errorf("dropped=%d actionErrors=%d, want 0,0", st.DetachedDropped, st.ActionErrors)
+	if dropped, errs := metric(t, db, "core.detached_dropped"), metric(t, db, "core.action_errors"); dropped != 0 || errs != 0 {
+		t.Errorf("dropped=%d actionErrors=%d, want 0,0", dropped, errs)
 	}
 	if total := attempts[0].Load() + attempts[1].Load(); total != 3 {
 		t.Errorf("total attempts = %d, want 3 (one victim, one retry)", total)
@@ -151,7 +150,6 @@ func TestDetachedRetryBudgetExhausted(t *testing.T) {
 			WithCoupling(Dependent)),
 	)
 	db := newTestDB(t, cls)
-	db.SetDetachedRetryPolicy(2, time.Microsecond)
 
 	tx := db.Begin()
 	ref, _ := db.Create(tx, "Hopeless", &CredCard{})
@@ -165,13 +163,12 @@ func TestDetachedRetryBudgetExhausted(t *testing.T) {
 	if err := tx2.Commit(); err != nil {
 		t.Fatalf("detached drop must not fail the detecting txn: %v", err)
 	}
-	if got := attempts.Load(); got != 3 {
-		t.Fatalf("attempts = %d, want 3 (1 initial + 2 retries)", got)
+	if got := attempts.Load(); got != detachedRetryBudget+1 {
+		t.Fatalf("attempts = %d, want %d (1 initial + the retry budget)", got, detachedRetryBudget+1)
 	}
-	st := db.Stats()
-	if st.DetachedRetries != 2 || st.DetachedDropped != 1 || st.ActionErrors != 1 {
-		t.Fatalf("stats = retries=%d dropped=%d errors=%d, want 2,1,1",
-			st.DetachedRetries, st.DetachedDropped, st.ActionErrors)
+	retries, dropped, errs := metric(t, db, "core.detached_retries"), metric(t, db, "core.detached_dropped"), metric(t, db, "core.action_errors")
+	if retries != detachedRetryBudget || dropped != 1 || errs != 1 {
+		t.Fatalf("retries=%d dropped=%d errors=%d, want %d,1,1", retries, dropped, errs, detachedRetryBudget)
 	}
 }
 
@@ -207,10 +204,9 @@ func TestDetachedPlainErrorNotRetried(t *testing.T) {
 	if got := attempts.Load(); got != 1 {
 		t.Fatalf("attempts = %d, want 1 (permanent errors are not retried)", got)
 	}
-	st := db.Stats()
-	if st.DetachedRetries != 0 || st.DetachedDropped != 1 || st.ActionErrors != 1 {
-		t.Fatalf("stats = retries=%d dropped=%d errors=%d, want 0,1,1",
-			st.DetachedRetries, st.DetachedDropped, st.ActionErrors)
+	retries, dropped, errs := metric(t, db, "core.detached_retries"), metric(t, db, "core.detached_dropped"), metric(t, db, "core.action_errors")
+	if retries != 0 || dropped != 1 || errs != 1 {
+		t.Fatalf("retries=%d dropped=%d errors=%d, want 0,1,1", retries, dropped, errs)
 	}
 }
 
@@ -242,13 +238,12 @@ func TestDetachedPanicIsolated(t *testing.T) {
 	if err := tx2.Commit(); err != nil {
 		t.Fatalf("panicking detached action must not fail the detecting txn: %v", err)
 	}
-	st := db.Stats()
-	if st.ActionPanics != 1 || st.ActionErrors != 1 || st.DetachedDropped != 1 {
-		t.Fatalf("stats = panics=%d errors=%d dropped=%d, want 1,1,1",
-			st.ActionPanics, st.ActionErrors, st.DetachedDropped)
+	panics, errs, dropped := metric(t, db, "core.action_panics"), metric(t, db, "core.action_errors"), metric(t, db, "core.detached_dropped")
+	if panics != 1 || errs != 1 || dropped != 1 {
+		t.Fatalf("panics=%d errors=%d dropped=%d, want 1,1,1", panics, errs, dropped)
 	}
-	if st.DetachedRetries != 0 {
-		t.Fatalf("DetachedRetries = %d, want 0 (panics are permanent)", st.DetachedRetries)
+	if got := metric(t, db, "core.detached_retries"); got != 0 {
+		t.Fatalf("core.detached_retries = %d, want 0 (panics are permanent)", got)
 	}
 }
 
@@ -278,7 +273,7 @@ func TestImmediatePanicIsolated(t *testing.T) {
 	if err == nil {
 		t.Fatal("Invoke with panicking immediate action returned nil error")
 	}
-	if db.Stats().ActionPanics != 1 {
-		t.Fatalf("ActionPanics = %d, want 1", db.Stats().ActionPanics)
+	if got := metric(t, db, "core.action_panics"); got != 1 {
+		t.Fatalf("core.action_panics = %d, want 1", got)
 	}
 }

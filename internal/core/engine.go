@@ -972,7 +972,7 @@ func (db *Database) runDetachedOne(f firedRec, counter *obs.Counter) {
 	// the detecting transaction's commit (WAL group-commit wait included).
 	f.tr.Add(obs.Step{Kind: obs.StepCommitWait, Trigger: f.rec.Name, WaitNs: time.Since(f.detected).Nanoseconds()})
 	db.met.postToFireNs.Observe(time.Since(f.detected).Nanoseconds())
-	budget, backoff := db.detachedRetryPolicy()
+	backoff := detachedBackoffStart
 	for attempt := 0; ; attempt++ {
 		sys := db.tm.BeginSystem()
 		st := db.state(sys)
@@ -1004,7 +1004,7 @@ func (db *Database) runDetachedOne(f firedRec, counter *obs.Counter) {
 			db.met.actionErrors.Inc()
 			return
 		}
-		if attempt < budget && retryableDetached(err) {
+		if attempt < detachedRetryBudget && retryableDetached(err) {
 			db.met.detachedRetries.Inc()
 			obs.Flight().Record(obs.IncDetachedRetry, f.cause, f.causeParent, uint64(attempt+1), f.rec.Name)
 			db.met.detachedRetryDelayNs.Observe(backoff.Nanoseconds())

@@ -440,26 +440,26 @@ func TestFastPathSkipsIndexLookup(t *testing.T) {
 	// skip the index lookup via the header bit.
 	db := newTestDB(t)
 	ref := newCard(t, db, 1000, true)
-	db.ResetStats()
+	posted, skips := metric(t, db, "core.events_posted"), metric(t, db, "core.fast_path_skips")
 	if err := buy(t, db, ref, 10); err != nil {
 		t.Fatal(err)
 	}
-	st := db.Stats()
-	if st.EventsPosted != 1 || st.FastPathSkips != 1 {
-		t.Fatalf("stats = %+v, want 1 posted / 1 fast-path skip", st)
+	posted, skips = metric(t, db, "core.events_posted")-posted, metric(t, db, "core.fast_path_skips")-skips
+	if posted != 1 || skips != 1 {
+		t.Fatalf("posted=%d skips=%d, want 1 posted / 1 fast-path skip", posted, skips)
 	}
 
 	// With an active trigger the slow path runs.
 	tx := db.Begin()
 	db.Activate(tx, ref, "DenyCredit")
 	tx.Commit()
-	db.ResetStats()
+	skips, masks := metric(t, db, "core.fast_path_skips"), metric(t, db, "core.masks_evaluated")
 	if err := buy(t, db, ref, 10); err != nil {
 		t.Fatal(err)
 	}
-	st = db.Stats()
-	if st.FastPathSkips != 0 || st.MasksEvaluated != 1 {
-		t.Fatalf("stats = %+v, want slow path with one mask eval", st)
+	skips, masks = metric(t, db, "core.fast_path_skips")-skips, metric(t, db, "core.masks_evaluated")-masks
+	if skips != 0 || masks != 1 {
+		t.Fatalf("skips=%d masks=%d, want slow path with one mask eval", skips, masks)
 	}
 }
 

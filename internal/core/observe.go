@@ -10,13 +10,13 @@ import (
 	"ode/internal/txn"
 )
 
-// coreMetrics holds the trigger engine's hot-path metric handles. The
-// counters are the storage behind the public Stats snapshot (the
-// pre-existing accessor is kept; the ad-hoc mutex-guarded struct is
-// gone), and the histograms time the stations of a firing: detection,
-// FSM advance, action execution, durability wait, detached retry
-// backoff. All of it lives in one obs.Registry per Database, exposed by
-// Observability() and documented in docs/OBSERVABILITY.md.
+// coreMetrics holds the trigger engine's hot-path metric handles: the
+// counters the experiments read (core.fast_path_skips,
+// core.masks_evaluated, ...) and histograms timing the stations of a
+// firing: detection, FSM advance, action execution, durability wait,
+// detached retry backoff. All of it lives in one obs.Registry per
+// Database, exposed by Observability() and documented in
+// docs/OBSERVABILITY.md.
 type coreMetrics struct {
 	eventsPosted     *obs.Counter
 	fastPathSkips    *obs.Counter
@@ -42,8 +42,8 @@ type coreMetrics struct {
 func newCoreMetrics(r *obs.Registry) *coreMetrics {
 	return &coreMetrics{
 		eventsPosted:     r.Counter("core.events_posted", "count", "basic events posted to objects (§5.4.5 PostEvent entries)"),
-		fastPathSkips:    r.Counter("core.fast_path_skips", "count", "postings short-circuited by the header bit (§5.4.5 footnote 3)"),
-		triggersAdvanced: r.Counter("core.triggers_advanced", "count", "FSM advances that changed persistent state (write locks taken, §6)"),
+		fastPathSkips:    r.Counter("core.fast_path_skips", "count", "postings short-circuited by the object-header bit (§5.4.5 footnote 3)"),
+		triggersAdvanced: r.Counter("core.triggers_advanced", "count", "FSM advances that changed persistent state without accepting (write locks taken, §6)"),
 		masksEvaluated:   r.Counter("core.masks_evaluated", "count", "mask predicate evaluations (§5.1.2 pseudo-event cascades)"),
 		firedImmediate:   r.Counter("core.fired_immediate", "count", "firings run inside the detecting transaction (§4.2 immediate)"),
 		firedDeferred:    r.Counter("core.fired_deferred", "count", "firings run at commit (§4.2 'end'/deferred coupling)"),
@@ -63,72 +63,24 @@ func newCoreMetrics(r *obs.Registry) *coreMetrics {
 	}
 }
 
-// Help text for the subsumed Stats structs, keyed by Go field name. A
-// field without an entry still registers (RegisterStats reflects over
-// the struct), it just carries no help line.
-var (
-	txnStatsHelp = map[string]string{
-		"Begun":         "transactions started",
-		"Committed":     "transactions committed durably",
-		"Aborted":       "transactions rolled back (explicit, doomed, deadlock victim, failed commit)",
-		"System":        "system transactions begun for detached trigger processing (§5.5)",
-		"Snapshots":     "snapshot (lock-free read-only) transactions begun",
-		"SnapshotReads": "object reads served from a pinned snapshot, bypassing the lock manager",
-	}
-	lockStatsHelp = map[string]string{
-		"Acquisitions": "granted lock requests, including re-entrant grants",
-		"Waits":        "lock requests that had to block",
-		"Upgrades":     "shared-to-exclusive upgrades (the §6 read-to-write amplification)",
-		"Deadlocks":    "deadlock victims aborted",
-	}
-	storageStatsHelp = map[string]string{
-		"Reads":        "object reads served by the storage manager",
-		"Writes":       "object writes applied",
-		"Frees":        "objects freed",
-		"PageReads":    "pages fetched from disk (eos only)",
-		"PageWrites":   "pages written to disk (eos only)",
-		"CacheHits":    "buffer-pool hits (eos only)",
-		"LogBytes":     "WAL bytes appended (eos only)",
-		"Fsyncs":       "WAL fsyncs issued (eos only)",
-		"GroupCommits": "commits made durable; GroupCommits/Fsyncs is the average batch (eos only)",
-		"BatchMin":     "smallest commits-per-fsync batch seen (eos only)",
-		"BatchMax":     "largest commits-per-fsync batch seen (eos only)",
-		"CommitWaitNs": "total time committers waited for durability (eos only)",
-		"WALHeals":     "sticky WAL sync errors cleared by self-healing truncation (eos only)",
-	}
-	versionStatsHelp = map[string]string{
-		"VersionsLive":         "versions currently held across all chains",
-		"VersionsChains":       "objects with a live version chain",
-		"VersionsChainMax":     "length of the longest current chain",
-		"VersionsAppended":     "versions appended by commit stamping",
-		"VersionsPreimages":    "base pre-images captured on a chain's first stamp",
-		"VersionsTrimmed":      "versions reclaimed by version GC",
-		"VersionsGcRuns":       "version GC sweeps",
-		"VersionsPins":         "distinct snapshot LSNs currently pinned",
-		"VersionsOldestPinLsn": "oldest pinned snapshot LSN (0 = none pinned)",
-	}
-)
-
-// RegisterSubsystems registers the pre-existing per-subsystem Stats
-// structs (storage, txn, lock) into r as Func counters, derived by
-// reflection so a counter added to any of those structs can never be
-// missing from the registry. Exported for tools (ode-inspect) that open
-// the managers without a Database.
+// RegisterSubsystems registers the storage, txn and lock managers'
+// metrics into r, each stated by the package that owns the counter,
+// plus the obj.versions_* figures when the store keeps versions.
+// Exported for tools (ode-inspect) that open the managers without a
+// Database.
 func RegisterSubsystems(r *obs.Registry, store storage.Manager, tm *txn.Manager, lm *lock.Manager) {
-	obs.RegisterStats(r, "storage", storageStatsHelp, func() any { return store.Stats() })
-	obs.RegisterStats(r, "txn", txnStatsHelp, func() any { return tm.Stats() })
-	obs.RegisterStats(r, "lock", lockStatsHelp, func() any { return lm.Stats() })
+	store.RegisterMetrics(r)
+	tm.RegisterMetrics(r)
+	lm.RegisterMetrics(r)
 	if v, ok := store.(storage.Versioned); ok {
-		// The version-store gauges live under the object-manager prefix:
-		// they describe what versions of objects snapshot readers can see.
-		obs.RegisterStats(r, "obj", versionStatsHelp, func() any { return v.VersionStats() })
-		r.Func("txn.snapshot_lsn", "lsn", "commit LSN a snapshot transaction begun now would pin", v.SnapshotLSN)
+		storage.RegisterVersionMetrics(r, v)
 	}
 }
 
 // Observability returns the database's metric registry: the trigger
-// engine's counters and latency histograms plus the subsumed storage,
-// txn, and lock Stats. See docs/OBSERVABILITY.md for the full reference.
+// engine's counters and latency histograms plus the storage, txn, and
+// lock managers' counters. See docs/OBSERVABILITY.md for the full
+// reference.
 func (db *Database) Observability() *obs.Registry { return db.obsReg }
 
 // Tracer returns the database's firing-trace recorder. Tracing is off by

@@ -31,9 +31,9 @@ func TestPaperE4VolatileCallsPayNothing(t *testing.T) {
 	ref := activeCard(t, db)
 	volatile := &CredCard{CredLim: 1e15}
 
-	posted := db.Stats().EventsPosted
+	posted := metric(t, db, "core.events_posted")
 	volatileNs := perOp(100_000, func() { volatileBuy(volatile, 1) })
-	volatilePosted := db.Stats().EventsPosted - posted
+	volatilePosted := metric(t, db, "core.events_posted") - posted
 
 	const n = 5000
 	tx := db.Begin()
@@ -41,7 +41,7 @@ func TestPaperE4VolatileCallsPayNothing(t *testing.T) {
 	if err := tx.Commit(); err != nil {
 		t.Fatal(err)
 	}
-	persistentPosted := db.Stats().EventsPosted - posted - volatilePosted
+	persistentPosted := metric(t, db, "core.events_posted") - posted - volatilePosted
 
 	t.Logf("volatile direct call: %8.2f ns/op, events posted: %d", volatileNs, volatilePosted)
 	t.Logf("persistent Invoke:    %8.2f ns/op, events posted: %d", persistentNs, persistentPosted)
@@ -117,7 +117,7 @@ func TestPaperE8ReadsBecomeWrites(t *testing.T) {
 	const workers, perWorker, cards = 8, 400, 4
 	run := func(withTrigger bool) (qps float64, waits, deadlocks uint64) {
 		db, refs := queryDB(t, cards, withTrigger)
-		db.Locks().ResetStats()
+		waits, deadlocks = metric(t, db, "lock.waits"), metric(t, db, "lock.deadlocks")
 		gate := make(chan struct{})
 		var wg sync.WaitGroup
 		for w := 0; w < workers; w++ {
@@ -147,8 +147,8 @@ func TestPaperE8ReadsBecomeWrites(t *testing.T) {
 		start := time.Now()
 		close(gate)
 		wg.Wait()
-		st := db.Locks().Stats()
-		return float64(workers*perWorker*2) / time.Since(start).Seconds(), st.Waits, st.Deadlocks
+		return float64(workers*perWorker*2) / time.Since(start).Seconds(),
+			metric(t, db, "lock.waits") - waits, metric(t, db, "lock.deadlocks") - deadlocks
 	}
 	offQps, offWaits, offDead := run(false)
 	onQps, onWaits, onDead := run(true)
@@ -210,8 +210,10 @@ func TestPaperE10DaliVsEos(t *testing.T) {
 			}
 		}
 		rate := float64(len(ops)) / time.Since(start).Seconds()
-		st := db.Store().Stats()
-		t.Logf("%-5s %8.0f txn/s (page writes %d, WAL %d KB)", name, rate, st.PageWrites, st.LogBytes/1024)
+		// Page and WAL counters are registered by eos only.
+		pages, _ := db.Observability().Value("storage.page_writes")
+		logBytes, _ := db.Observability().Value("storage.log_bytes")
+		t.Logf("%-5s %8.0f txn/s (page writes %d, WAL %d KB)", name, rate, pages, logBytes/1024)
 		return rate
 	}
 	daliRate := run("dali", newTestDB(t))

@@ -229,9 +229,9 @@ func TestPaperE7OutOfObjectTriggerState(t *testing.T) {
 			}
 		}
 		btx := db.Begin()
-		masks := db.Stats().MasksEvaluated
+		masks := metric(t, db, "core.masks_evaluated")
 		ns := perOp(n, func() { mustInvoke(t, db, btx, ref, "Buy", 1.0) })
-		masks = db.Stats().MasksEvaluated - masks
+		masks = metric(t, db, "core.masks_evaluated") - masks
 		if err := btx.Commit(); err != nil {
 			t.Fatal(err)
 		}
@@ -299,8 +299,9 @@ func couplingModesDB(t testing.TB) (*Database, Ref) {
 func TestPaperE9CouplingModes(t *testing.T) {
 	db, ref := couplingModesDB(t)
 	const n = 1000
-	fired := func(s Stats) [4]uint64 {
-		return [4]uint64{s.FiredImmediate, s.FiredDeferred, s.FiredDependent, s.FiredIndependent}
+	fired := func() [4]uint64 {
+		return [4]uint64{metric(t, db, "core.fired_immediate"), metric(t, db, "core.fired_deferred"),
+			metric(t, db, "core.fired_dependent"), metric(t, db, "core.fired_independent")}
 	}
 	t.Logf("%-22s %9s %27s %12s", "coupling", "ns/txn", "fired imm/end/dep/indep", "system txns")
 	for mode, row := range []struct{ label, method string }{
@@ -310,10 +311,10 @@ func TestPaperE9CouplingModes(t *testing.T) {
 		{"!dependent", "Indep"},
 		{"no trigger (baseline)", "None"},
 	} {
-		before, sys := fired(db.Stats()), db.Txns().Stats().System
+		before, sys := fired(), metric(t, db, "txn.system")
 		ns := perOp(n, func() { invokeTxn(t, db, ref, row.method, 1.0) })
-		after := fired(db.Stats())
-		sys = db.Txns().Stats().System - sys
+		after := fired()
+		sys = metric(t, db, "txn.system") - sys
 		var delta, want [4]uint64
 		for i := range delta {
 			delta[i] = after[i] - before[i]
@@ -448,13 +449,12 @@ func TestPaperE12MaskCascade(t *testing.T) {
 	for _, k := range []int{1, 2, 4, 8, 16} {
 		db, ref := maskChainDB(t, k)
 		tx := db.Begin()
-		before := db.Stats()
+		posted, masks := metric(t, db, "core.events_posted"), metric(t, db, "core.masks_evaluated")
 		ns := perOp(n, func() { mustInvoke(t, db, tx, ref, "Poke") })
-		after := db.Stats()
+		posted, masks = metric(t, db, "core.events_posted")-posted, metric(t, db, "core.masks_evaluated")-masks
 		if err := tx.Commit(); err != nil {
 			t.Fatal(err)
 		}
-		posted, masks := after.EventsPosted-before.EventsPosted, after.MasksEvaluated-before.MasksEvaluated
 		t.Logf("%-6d %10.0f %14.2f", k, ns, float64(masks)/float64(posted))
 		if posted != n || masks != uint64(k*n) {
 			t.Errorf("%d chained masks: %d masks over %d postings, want %d over %d", k, masks, posted, k*n, n)

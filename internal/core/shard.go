@@ -358,13 +358,13 @@ func (db *Database) IngestRemoteEvents(origin uint64, evs []RemoteEvent) (uint64
 	sorted := make([]RemoteEvent, len(evs))
 	copy(sorted, evs)
 	sort.Slice(sorted, func(i, j int) bool { return sorted[i].Seq < sorted[j].Seq })
-	budget, backoff := db.detachedRetryPolicy()
+	backoff := detachedBackoffStart
 	for attempt := 0; ; attempt++ {
 		wm, err := sh.ingestOnce(origin, sorted)
 		if err == nil {
 			return wm, nil
 		}
-		if attempt < budget && retryableDetached(err) {
+		if attempt < detachedRetryBudget && retryableDetached(err) {
 			db.met.detachedRetries.Inc()
 			time.Sleep(backoff)
 			if backoff *= 2; backoff > detachedBackoffCap {

@@ -76,7 +76,7 @@ func TestSnapshotInvokeSuppressesTriggerProcessing(t *testing.T) {
 	var fired atomic.Uint64
 	db := newTestDB(t, snapCardClass(&fired))
 	ref := newSnapCard(t, db)
-	db.ResetStats()
+	posts := metric(t, db, "core.snapshot_posts")
 	before := triggerState(t, db, ref)
 
 	for i := 0; i < 4; i++ {
@@ -98,8 +98,8 @@ func TestSnapshotInvokeSuppressesTriggerProcessing(t *testing.T) {
 	if fired.Load() != 0 {
 		t.Fatalf("trigger fired %d times from snapshot postings", fired.Load())
 	}
-	if got := db.Stats().SnapshotPosts; got != 4 {
-		t.Fatalf("SnapshotPosts = %d, want 4", got)
+	if got := metric(t, db, "core.snapshot_posts") - posts; got != 4 {
+		t.Fatalf("core.snapshot_posts rose by %d, want 4", got)
 	}
 
 	// The same two postings in regular transactions complete the
@@ -154,7 +154,7 @@ func TestQueryRoutesToSnapshot(t *testing.T) {
 	db := newTestDB(t, snapCardClass(&fired))
 	ref := newSnapCard(t, db)
 
-	base := db.Txns().Stats()
+	base := metric(t, db, "txn.snapshots")
 	ret, err := db.Query(ref, "Query")
 	if err != nil {
 		t.Fatal(err)
@@ -162,9 +162,8 @@ func TestQueryRoutesToSnapshot(t *testing.T) {
 	if ret.(float64) != 0 {
 		t.Fatalf("Query returned %v, want 0", ret)
 	}
-	st := db.Txns().Stats()
-	if st.Snapshots != base.Snapshots+1 {
-		t.Fatalf("Snapshots %d -> %d; read-only Query did not use a snapshot", base.Snapshots, st.Snapshots)
+	if got := metric(t, db, "txn.snapshots"); got != base+1 {
+		t.Fatalf("txn.snapshots %d -> %d; read-only Query did not use a snapshot", base, got)
 	}
 
 	// A mutator through Query: the snapshot attempt fails with
@@ -198,8 +197,8 @@ func TestQueryUnversionedFallback(t *testing.T) {
 	if err != nil || ret.(float64) != 0 {
 		t.Fatalf("Query over unversioned store = %v, %v", ret, err)
 	}
-	if st := db.Txns().Stats(); st.Snapshots != 0 {
-		t.Fatalf("Snapshots = %d over unversioned store, want 0", st.Snapshots)
+	if got := metric(t, db, "txn.snapshots"); got != 0 {
+		t.Fatalf("txn.snapshots = %d over unversioned store, want 0", got)
 	}
 }
 

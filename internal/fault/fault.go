@@ -109,12 +109,6 @@ func (s *Schedule) FailSyncAt(n uint64) *Schedule {
 	return s.arm(rule{op: OpSync, at: n, once: true, err: fmt.Errorf("%w: sync #%d", ErrInjected, n)})
 }
 
-// FailOpAt arms an error on the n-th call of op (1-based), healing after
-// it fires.
-func (s *Schedule) FailOpAt(op Op, n uint64) *Schedule {
-	return s.arm(rule{op: op, at: n, once: true, err: fmt.Errorf("%w: %s #%d", ErrInjected, op, n)})
-}
-
 // FailSyncRate arms a seeded coin flip on every Sync: each call fails
 // independently with probability p. Deterministic for a fixed seed and
 // call sequence.

@@ -43,7 +43,6 @@ type NetPlan struct {
 	cutAt    uint64 // cut after delivering this many frames; 0 = off
 	corrupt  uint64 // flip a byte inside this frame; 0 = off
 	dupProb  float64
-	delay    time.Duration // per-read delay while armed
 	wedge    time.Duration // one-shot stall before the next read
 	counters NetCounters
 }
@@ -83,15 +82,6 @@ func (p *NetPlan) CorruptFrame(n uint64) *NetPlan {
 func (p *NetPlan) DuplicateFrames(prob float64) *NetPlan {
 	p.mu.Lock()
 	p.dupProb = prob
-	p.mu.Unlock()
-	return p
-}
-
-// DelayReads arms a fixed sleep before every underlying read until
-// disarmed with DelayReads(0) — cheap jitter/slow-link simulation.
-func (p *NetPlan) DelayReads(d time.Duration) *NetPlan {
-	p.mu.Lock()
-	p.delay = d
 	p.mu.Unlock()
 	return p
 }
@@ -169,18 +159,14 @@ func (p *NetPlan) onFrame(frame []byte) (out []byte, cut bool) {
 // preRead applies the armed timing faults. Caller must not hold p.mu.
 func (p *NetPlan) preRead() {
 	p.mu.Lock()
-	d := p.delay
 	w := p.wedge
 	p.wedge = 0
-	if d > 0 || w > 0 {
+	if w > 0 {
 		p.counters.Delays++
 	}
 	p.mu.Unlock()
 	if w > 0 {
 		time.Sleep(w)
-	}
-	if d > 0 {
-		time.Sleep(d)
 	}
 }
 

@@ -10,6 +10,7 @@ import (
 
 	"ode/internal/core"
 	"ode/internal/fault"
+	"ode/internal/obs"
 	"ode/internal/storage"
 	"ode/internal/storage/dali"
 	"ode/internal/storage/eos"
@@ -95,6 +96,16 @@ func faultyStore(t *testing.T, path string, s *fault.Schedule) *eos.Manager {
 	return m
 }
 
+// metric reads one counter from reg.
+func metric(t *testing.T, reg *obs.Registry, name string) uint64 {
+	t.Helper()
+	v, ok := reg.Value(name)
+	if !ok {
+		t.Fatalf("no metric %s", name)
+	}
+	return v
+}
+
 // TestPaperE17FaultInjection is experiment E17 (§5.6 durability, §5.5
 // detached execution). The paper's recovery story — redo logging with
 // no-steal buffering — is only credible if the implementation survives
@@ -121,13 +132,15 @@ func TestPaperE17FaultInjection(t *testing.T) {
 		path := filepath.Join(dir, fmt.Sprintf("e17-%d.eos", i))
 		s := fault.NewSchedule()
 		m := faultyStore(t, path, s)
+		reg := obs.NewRegistry()
+		m.RegisterMetrics(reg)
 		if rate > 0 {
 			s.FailSyncRate(rate, 1717+int64(i))
 		}
 		var lastAcked [e17Committers]int64
 		commitRate, acked := e17Commit(t, m, perOps, &lastAcked)
 		t.Logf("%-10s %13.0f %14.0f %6d %6d %6d", fmt.Sprintf("%.0f%%", rate*100), commitRate, daliRate,
-			acked, e17Committers*perOps-int(acked), m.Stats().WALHeals)
+			acked, e17Committers*perOps-int(acked), metric(t, reg, "storage.wal_heals"))
 		if acked == 0 {
 			t.Errorf("%.0f%% fsync faults: no commit was acknowledged; the WAL did not heal", rate*100)
 		}
@@ -212,11 +225,13 @@ func TestPaperE17FaultInjection(t *testing.T) {
 		}
 		wg.Wait()
 	}
-	st := db.Stats()
+	reg := db.Observability()
+	dropped := metric(t, reg, "core.detached_dropped")
 	t.Logf("detached under 5%% faults + lock collisions: %d firings for %d committed pokes, %d retries, %d permanent errors, %d dropped, %d WAL heals",
-		st.FiredDependent, committed.Load(), st.DetachedRetries, st.ActionErrors, st.DetachedDropped, db.Txns().Store().Stats().WALHeals)
-	if st.DetachedDropped != 0 {
-		t.Errorf("%d detached firings dropped, want 0", st.DetachedDropped)
+		metric(t, reg, "core.fired_dependent"), committed.Load(), metric(t, reg, "core.detached_retries"),
+		metric(t, reg, "core.action_errors"), dropped, metric(t, reg, "storage.wal_heals"))
+	if dropped != 0 {
+		t.Errorf("%d detached firings dropped, want 0", dropped)
 	}
 	// Exactly once: each committed detecting transaction fired one action,
 	// and each action incremented both shared objects once.

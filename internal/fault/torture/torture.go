@@ -493,7 +493,8 @@ func sweepSyncFail(dir string, cfg config) (*result, error) {
 	}
 	sched.FailSyncRate(syncFailRate, syncFailSeed)
 	acked := w.bump(cfg.txns)
-	res := &result{points: 1, heals: w.m.Stats().WALHeals}
+	heals, _ := w.db.Observability().Value("storage.wal_heals")
+	res := &result{points: 1, heals: heals}
 	for _, n := range acked {
 		res.commits += n
 	}

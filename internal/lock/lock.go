@@ -15,6 +15,8 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+
+	"ode/internal/obs"
 )
 
 // TxnID identifies a lock-holding transaction.
@@ -67,14 +69,6 @@ func (r Resource) String() string { return fmt.Sprintf("%d/%d", r.Space, r.ID) }
 // caller must abort its transaction and release its locks.
 var ErrDeadlock = errors.New("lock: deadlock detected; transaction chosen as victim")
 
-// Stats counts lock-manager activity; experiment E8 reads these.
-type Stats struct {
-	Acquisitions uint64 // granted requests (including re-entrant)
-	Waits        uint64 // requests that had to block
-	Upgrades     uint64 // shared → exclusive upgrades
-	Deadlocks    uint64 // victims aborted
-}
-
 // waiter is one blocked request.
 type waiter struct {
 	txn     TxnID
@@ -95,7 +89,10 @@ type Manager struct {
 	table    map[Resource]*entry
 	held     map[TxnID]map[Resource]Mode // reverse index for ReleaseAll
 	waitsFor map[TxnID]map[TxnID]int     // edge multiset for deadlock detection
-	stats    Stats
+
+	// Activity counters, exposed by RegisterMetrics; experiment E8
+	// reads lock.upgrades and lock.waits.
+	acquisitions, waits, upgrades, deadlocks obs.Counter
 }
 
 // NewManager returns an empty lock manager.
@@ -122,16 +119,16 @@ func (m *Manager) Lock(txn TxnID, r Resource, mode Mode) error {
 
 	if cur, ok := e.holders[txn]; ok {
 		if cur >= mode {
-			m.stats.Acquisitions++
+			m.acquisitions.Inc()
 			m.mu.Unlock()
 			return nil // re-entrant, same or stronger
 		}
 		// Upgrade S → X.
-		m.stats.Upgrades++
+		m.upgrades.Inc()
 		if len(e.holders) == 1 {
 			e.holders[txn] = Exclusive
 			m.recordHeld(txn, r, Exclusive)
-			m.stats.Acquisitions++
+			m.acquisitions.Inc()
 			m.mu.Unlock()
 			return nil
 		}
@@ -141,7 +138,7 @@ func (m *Manager) Lock(txn TxnID, r Resource, mode Mode) error {
 	if m.compatible(e, txn, mode) {
 		e.holders[txn] = mode
 		m.recordHeld(txn, r, mode)
-		m.stats.Acquisitions++
+		m.acquisitions.Inc()
 		m.mu.Unlock()
 		return nil
 	}
@@ -184,11 +181,11 @@ func (m *Manager) wait(txn TxnID, r Resource, e *entry, mode Mode, upgrade bool)
 		for _, b := range blockers {
 			m.removeEdge(txn, b)
 		}
-		m.stats.Deadlocks++
+		m.deadlocks.Inc()
 		m.mu.Unlock()
 		return ErrDeadlock
 	}
-	m.stats.Waits++
+	m.waits.Inc()
 	w := &waiter{txn: txn, mode: mode, upgrade: upgrade, granted: make(chan error, 1)}
 	if upgrade {
 		// Upgraders go to the front: they already hold Shared, so
@@ -321,7 +318,7 @@ func (m *Manager) grant(r Resource, e *entry) {
 		e.holders[w.txn] = w.mode
 		m.recordHeld(w.txn, r, w.mode)
 		w.granted <- nil
-		m.stats.Acquisitions++
+		m.acquisitions.Inc()
 	}
 }
 
@@ -363,16 +360,11 @@ func (m *Manager) HeldMode(txn TxnID, r Resource) (Mode, bool) {
 	return mode, ok
 }
 
-// Stats returns a snapshot of the counters.
-func (m *Manager) Stats() Stats {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.stats
-}
-
-// ResetStats zeroes the counters (benchmarks use this between phases).
-func (m *Manager) ResetStats() {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.stats = Stats{}
+// RegisterMetrics exposes the lock manager's counters on r. Names are
+// documented in docs/OBSERVABILITY.md.
+func (m *Manager) RegisterMetrics(r *obs.Registry) {
+	r.Func("lock.acquisitions", "count", "granted lock requests, including re-entrant grants", m.acquisitions.Value)
+	r.Func("lock.waits", "count", "lock requests that had to block", m.waits.Value)
+	r.Func("lock.upgrades", "count", "shared-to-exclusive upgrades (the §6 read-to-write amplification)", m.upgrades.Value)
+	r.Func("lock.deadlocks", "count", "deadlock victims aborted", m.deadlocks.Value)
 }

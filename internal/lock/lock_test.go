@@ -8,9 +8,24 @@ import (
 	"testing"
 	"testing/quick"
 	"time"
+
+	"ode/internal/obs"
 )
 
 var res = Resource{SpaceObject, 1}
+
+// metric reads one of m's counters through a registry, as every
+// consumer does.
+func metric(t *testing.T, m *Manager, name string) uint64 {
+	t.Helper()
+	r := obs.NewRegistry()
+	m.RegisterMetrics(r)
+	v, ok := r.Value(name)
+	if !ok {
+		t.Fatalf("lock manager registers no %s", name)
+	}
+	return v
+}
 
 func TestSharedLocksCoexist(t *testing.T) {
 	m := NewManager()
@@ -81,7 +96,7 @@ func TestUpgradeSoloHolder(t *testing.T) {
 	if err := m.Lock(1, res, Exclusive); err != nil {
 		t.Fatalf("solo upgrade failed: %v", err)
 	}
-	if got := m.Stats().Upgrades; got != 1 {
+	if got := metric(t, m, "lock.upgrades"); got != 1 {
 		t.Fatalf("upgrades = %d, want 1", got)
 	}
 }
@@ -159,7 +174,7 @@ func TestUpgradeDeadlockDetected(t *testing.T) {
 			t.Fatal("no deadlock detected")
 		}
 	}
-	if m.Stats().Deadlocks == 0 {
+	if metric(t, m, "lock.deadlocks") == 0 {
 		t.Fatal("deadlock counter not incremented")
 	}
 }
@@ -290,21 +305,15 @@ func TestStatsCounting(t *testing.T) {
 	done := make(chan error, 1)
 	go func() { done <- m.Lock(2, res, Exclusive) }()
 	time.Sleep(30 * time.Millisecond)
-	st := m.Stats()
-	if st.Waits != 1 {
-		t.Fatalf("waits = %d, want 1", st.Waits)
+	if waits := metric(t, m, "lock.waits"); waits != 1 {
+		t.Fatalf("waits = %d, want 1", waits)
 	}
 	m.ReleaseAll(1)
 	if err := <-done; err != nil {
 		t.Fatal(err)
 	}
-	st = m.Stats()
-	if st.Acquisitions < 2 {
-		t.Fatalf("acquisitions = %d, want >= 2", st.Acquisitions)
-	}
-	m.ResetStats()
-	if m.Stats() != (Stats{}) {
-		t.Fatal("ResetStats did not zero")
+	if acq := metric(t, m, "lock.acquisitions"); acq < 2 {
+		t.Fatalf("acquisitions = %d, want >= 2", acq)
 	}
 }
 
@@ -402,9 +411,8 @@ func TestConcurrentDistinctResources(t *testing.T) {
 		}(i)
 	}
 	wg.Wait()
-	st := m.Stats()
-	if st.Deadlocks != 0 || st.Waits != 0 {
-		t.Fatalf("disjoint workload saw waits=%d deadlocks=%d", st.Waits, st.Deadlocks)
+	if waits, deadlocks := metric(t, m, "lock.waits"), metric(t, m, "lock.deadlocks"); deadlocks != 0 || waits != 0 {
+		t.Fatalf("disjoint workload saw waits=%d deadlocks=%d", waits, deadlocks)
 	}
 }
 

@@ -96,9 +96,6 @@ type FlightRecorder struct {
 	ring []incident
 	pos  int // next write slot
 	n    int // filled slots, ≤ len(ring)
-
-	dumpMu sync.Mutex
-	dumpW  io.Writer // nil → os.Stderr
 }
 
 // NewFlightRecorder returns a recorder with the given ring capacity
@@ -176,13 +173,6 @@ func (f *FlightRecorder) Snapshot() []IncidentRecord {
 	return out
 }
 
-// SetDumpWriter redirects Dump output (tests); nil restores os.Stderr.
-func (f *FlightRecorder) SetDumpWriter(w io.Writer) {
-	f.dumpMu.Lock()
-	f.dumpW = w
-	f.dumpMu.Unlock()
-}
-
 // Dump writes a terse human-readable rendering of the ring,
 // oldest-first, to w.
 func (f *FlightRecorder) Dump(w io.Writer, reason string) {
@@ -207,16 +197,7 @@ func (f *FlightRecorder) Dump(w io.Writer, reason string) {
 	fmt.Fprintln(w, "-- end flight dump --")
 }
 
-// DumpFlight dumps the process-wide recorder to its dump writer
-// (os.Stderr by default). Called on action panics and log corruption so
-// the incidents leading up to the failure survive in the crash output.
-func DumpFlight(reason string) {
-	f := flight
-	f.dumpMu.Lock()
-	w := f.dumpW
-	f.dumpMu.Unlock()
-	if w == nil {
-		w = os.Stderr
-	}
-	f.Dump(w, reason)
-}
+// DumpFlight dumps the process-wide recorder to os.Stderr. Called on
+// action panics and log corruption so the incidents leading up to the
+// failure survive in the crash output.
+func DumpFlight(reason string) { flight.Dump(os.Stderr, reason) }

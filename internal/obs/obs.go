@@ -6,25 +6,23 @@
 // via persistent FSMs and decoupled actions adds little overhead to the
 // object path (§5–§6). This package makes that claim *inspectable* at run
 // time instead of only benchmarkable: counters and fixed-bucket (log₂)
-// latency histograms unify the ad-hoc Stats structs of internal/core,
-// internal/storage, internal/txn and internal/lock behind one enumerable
-// Registry, and a ring-buffered Tracer (trace.go) captures sampled trigger
-// firings step by step — posting event, FSM transitions including the
-// §5.1.2 True/False mask pseudo-events, coupling-mode dispatch, action
-// execution, and commit/detach waits. http.go exposes both over HTTP
-// together with expvar and pprof.
+// latency histograms live in one enumerable Registry per database, into
+// which each subsystem (core, storage, txn, lock, repl) registers the
+// counters it owns, and a ring-buffered Tracer (trace.go) captures
+// sampled trigger firings step by step — posting event, FSM transitions
+// including the §5.1.2 True/False mask pseudo-events, coupling-mode
+// dispatch, action execution, and commit/detach waits. http.go exposes
+// both over HTTP together with expvar and pprof.
 //
 // Every metric and trace field exposed here is documented in
-// docs/OBSERVABILITY.md; a repo test fails if a registered metric name is
-// missing from that document.
+// docs/OBSERVABILITY.md; a repo test fails if a registered metric has no
+// row there, its row's unit differs, or it registers without help text.
 package obs
 
 import (
 	"fmt"
 	"math/bits"
-	"reflect"
 	"sort"
-	"strings"
 	"sync"
 	"sync/atomic"
 )
@@ -43,10 +41,6 @@ func (c *Counter) Add(n uint64) { c.v.Add(n) }
 
 // Value returns the current count.
 func (c *Counter) Value() uint64 { return c.v.Load() }
-
-// Reset zeroes the counter (experiment harnesses only; production
-// consumers should read deltas instead).
-func (c *Counter) Reset() { c.v.Store(0) }
 
 // HistogramBuckets is the fixed number of log₂ buckets every Histogram
 // carries: bucket 0 counts observations equal to 0, and bucket i (i ≥ 1)
@@ -147,17 +141,15 @@ func (h *Histogram) Quantile(q float64) uint64 {
 type Kind string
 
 const (
-	// KindCounter is a Counter owned by the registry's client.
+	// KindCounter is a Counter, or a counter-shaped value read from a
+	// callback at snapshot time (Registry.Func).
 	KindCounter Kind = "counter"
-	// KindFunc is a counter-shaped metric whose value is read from a
-	// callback at snapshot time (used to subsume pre-existing Stats
-	// structs without moving their storage).
-	KindFunc Kind = "counter"
 	// KindHistogram is a log₂ Histogram.
 	KindHistogram Kind = "histogram"
 )
 
-// metric is one registered metric.
+// metric is one registered metric: a histogram, or a counter-kind value
+// read through fn (for registry-owned counters, counter.Value).
 type metric struct {
 	name, unit, help string
 	counter          *Counter
@@ -213,7 +205,7 @@ func (r *Registry) add(name string, m *metric) {
 // the metric measures something else ("bytes", "ns").
 func (r *Registry) Counter(name, unit, help string) *Counter {
 	c := &Counter{}
-	r.add(name, &metric{name: name, unit: unit, help: help, counter: c})
+	r.add(name, &metric{name: name, unit: unit, help: help, counter: c, fn: c.Value})
 	return c
 }
 
@@ -232,7 +224,7 @@ func (r *Registry) EnsureCounter(name, unit, help string) *Counter {
 		return m.counter
 	}
 	c := &Counter{}
-	r.metrics[name] = &metric{name: name, unit: unit, help: help, counter: c}
+	r.metrics[name] = &metric{name: name, unit: unit, help: help, counter: c, fn: c.Value}
 	return c
 }
 
@@ -252,8 +244,8 @@ func (r *Registry) EnsureHistogram(name, unit, help string) *Histogram {
 }
 
 // Func registers a counter-shaped metric backed by a callback evaluated
-// at snapshot time. Used to expose counters whose storage lives
-// elsewhere (the subsumed Stats structs).
+// at snapshot time: the way a subsystem exposes a counter it owns (an
+// obs.Counter field's Value) or a gauge it computes.
 func (r *Registry) Func(name, unit, help string, fn func() uint64) {
 	r.add(name, &metric{name: name, unit: unit, help: help, fn: fn})
 }
@@ -284,6 +276,18 @@ func (r *Registry) Names() []string {
 	return out
 }
 
+// Value returns the current value of the counter-kind metric registered
+// under name; ok is false when there is none (absent, or a histogram).
+func (r *Registry) Value(name string) (v uint64, ok bool) {
+	r.mu.Lock()
+	m := r.metrics[name]
+	r.mu.Unlock()
+	if m == nil || m.fn == nil {
+		return 0, false
+	}
+	return m.fn(), true
+}
+
 // Snapshot returns the current value of every metric, sorted by name.
 func (r *Registry) Snapshot() []MetricValue {
 	r.mu.Lock()
@@ -296,14 +300,10 @@ func (r *Registry) Snapshot() []MetricValue {
 	out := make([]MetricValue, 0, len(ms))
 	for _, m := range ms {
 		mv := MetricValue{Name: m.name, Unit: m.unit, Help: m.help}
-		switch {
-		case m.counter != nil:
+		if m.fn != nil {
 			mv.Kind = KindCounter
-			mv.Value = m.counter.Value()
-		case m.fn != nil:
-			mv.Kind = KindFunc
 			mv.Value = m.fn()
-		case m.hist != nil:
+		} else {
 			mv.Kind = KindHistogram
 			mv.Count = m.hist.Count()
 			mv.Sum = m.hist.Sum()
@@ -314,66 +314,4 @@ func (r *Registry) Snapshot() []MetricValue {
 		out = append(out, mv)
 	}
 	return out
-}
-
-// RegisterStats registers every uint64 field of the struct returned by
-// snapshot as a Func counter named group + "." + snake_case(field). The
-// reflection walk is what makes the surface future-proof: a counter
-// added to any subsumed Stats struct appears in the registry — and in
-// every generic consumer (ode-inspect, /metrics, the docs-coverage
-// test) — without a hand-written print line.
-//
-// Units are inferred from the field name: a trailing "Ns" means
-// nanoseconds, a trailing "Bytes" means bytes, anything else is a count.
-// help maps field names (Go spelling, e.g. "CommitWaitNs") to help text;
-// missing entries get an empty help string.
-func RegisterStats(r *Registry, group string, help map[string]string, snapshot func() any) {
-	t := reflect.TypeOf(snapshot())
-	if t.Kind() != reflect.Struct {
-		panic(fmt.Sprintf("obs: RegisterStats(%q): snapshot returns %s, want struct", group, t.Kind()))
-	}
-	for i := 0; i < t.NumField(); i++ {
-		f := t.Field(i)
-		if !f.IsExported() || f.Type.Kind() != reflect.Uint64 {
-			continue
-		}
-		idx := i
-		name := group + "." + SnakeCase(f.Name)
-		unit := "count"
-		switch {
-		case strings.HasSuffix(f.Name, "Ns"):
-			unit = "ns"
-		case strings.HasSuffix(f.Name, "Bytes"):
-			unit = "bytes"
-		}
-		r.Func(name, unit, help[f.Name], func() uint64 {
-			return reflect.ValueOf(snapshot()).Field(idx).Uint()
-		})
-	}
-}
-
-// SnakeCase converts a Go exported identifier to snake_case, collapsing
-// acronym runs: "CommitWaitNs" → "commit_wait_ns", "WALHeals" →
-// "wal_heals", "BatchMin" → "batch_min".
-func SnakeCase(s string) string {
-	var sb strings.Builder
-	rs := []rune(s)
-	for i, r := range rs {
-		if r >= 'A' && r <= 'Z' {
-			// Start a new word at an upper-case rune that follows a
-			// lower-case rune, or that starts a new word after an
-			// acronym run (upper followed by lower).
-			if i > 0 {
-				prevUpper := rs[i-1] >= 'A' && rs[i-1] <= 'Z'
-				nextLower := i+1 < len(rs) && rs[i+1] >= 'a' && rs[i+1] <= 'z'
-				if !prevUpper || nextLower {
-					sb.WriteByte('_')
-				}
-			}
-			sb.WriteRune(r - 'A' + 'a')
-		} else {
-			sb.WriteRune(r)
-		}
-	}
-	return sb.String()
 }

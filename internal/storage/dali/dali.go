@@ -20,8 +20,8 @@ import (
 	"io"
 	"os"
 	"sync"
-	"sync/atomic"
 
+	"ode/internal/obs"
 	"ode/internal/storage"
 	"ode/internal/storage/vstore"
 )
@@ -31,7 +31,6 @@ type Manager struct {
 	mu      sync.RWMutex
 	objects map[storage.OID][]byte
 	nextOID storage.OID
-	stats   storage.Stats
 	// commitLSN numbers ApplyCommit batches (there is no WAL, so the
 	// commit ordinal is the store's LSN); versions holds the
 	// commit-LSN-stamped chains behind storage.Versioned. Both are
@@ -39,10 +38,10 @@ type Manager struct {
 	// lookups (pure reads) run under the shared lock.
 	commitLSN uint64
 	versions  *vstore.Store
-	// reads is kept out of stats (which mu guards) so the read path
-	// needs only the shared lock — reads never serialize behind commits,
-	// mirroring the eos commit/read decoupling.
-	reads atomic.Uint64
+	// Activity counters, exposed by RegisterMetrics. Atomic, so the
+	// read path needs only the shared lock — reads never serialize
+	// behind commits, mirroring the eos commit/read decoupling.
+	reads, writes, frees obs.Counter
 	// snapshotPath, when non-empty, is where Checkpoint persists and Open
 	// loads a point-in-time image of the store.
 	snapshotPath string
@@ -131,7 +130,7 @@ func (m *Manager) Read(oid storage.OID) ([]byte, error) {
 	out := make([]byte, len(data))
 	copy(out, data)
 	m.mu.RUnlock()
-	m.reads.Add(1)
+	m.reads.Inc()
 	return out, nil
 }
 
@@ -176,10 +175,10 @@ func (m *Manager) ApplyCommit(txn uint64, ops []storage.Op) error {
 			if op.OID >= m.nextOID {
 				m.nextOID = op.OID + 1
 			}
-			m.stats.Writes++
+			m.writes.Inc()
 		case storage.OpFree:
 			delete(m.objects, op.OID)
-			m.stats.Frees++
+			m.frees.Inc()
 		}
 	}
 	return nil
@@ -349,7 +348,7 @@ func (m *Manager) ReadAt(oid storage.OID, lsn uint64) ([]byte, error) {
 		if !live {
 			return nil, fmt.Errorf("%w: oid %d as of lsn %d", storage.ErrNotFound, oid, lsn)
 		}
-		m.reads.Add(1)
+		m.reads.Inc()
 		return data, nil
 	}
 	data, ok := m.objects[oid]
@@ -360,7 +359,7 @@ func (m *Manager) ReadAt(oid storage.OID, lsn uint64) ([]byte, error) {
 	out := make([]byte, len(data))
 	copy(out, data)
 	m.mu.RUnlock()
-	m.reads.Add(1)
+	m.reads.Inc()
 	return out, nil
 }
 
@@ -392,13 +391,12 @@ func (m *Manager) GCVersions() uint64 {
 	return m.versions.GC()
 }
 
-// Stats implements storage.Manager.
-func (m *Manager) Stats() storage.Stats {
-	m.mu.RLock()
-	st := m.stats
-	m.mu.RUnlock()
-	st.Reads = m.reads.Load()
-	return st
+// RegisterMetrics implements storage.Manager. A main-memory store has
+// no pages, buffer pool or log, so it registers only the object counts.
+func (m *Manager) RegisterMetrics(r *obs.Registry) {
+	r.Func("storage.reads", "count", "object reads served by the storage manager", m.reads.Value)
+	r.Func("storage.writes", "count", "object writes applied", m.writes.Value)
+	r.Func("storage.frees", "count", "objects freed", m.frees.Value)
 }
 
 // Len reports the number of live objects (tests use this).

@@ -119,7 +119,11 @@ type Manager struct {
 	// chains always equal a replay of the applied prefix.
 	versions *vstore.Store
 
-	stats storage.Stats
+	// Activity counters, exposed by RegisterMetrics (the WAL's own
+	// figures are read from log.SyncStats there).
+	reads, writes, frees, pageReads, pageWrites, cacheHits obs.Counter
+	logBytes, checkpoints, walTruncatedBytes               obs.Counter
+
 	// closed and readOnly are written with both seqMu and mu held, so
 	// either lock suffices to read them.
 	closed     bool
@@ -487,7 +491,7 @@ func (m *Manager) Read(oid storage.OID) ([]byte, error) {
 	if !ok {
 		return nil, fmt.Errorf("%w: oid %d", storage.ErrNotFound, oid)
 	}
-	m.stats.Reads++
+	m.reads.Inc()
 	return m.readLoc(l)
 }
 
@@ -649,7 +653,7 @@ func (m *Manager) applyCommit(txn uint64, ops []storage.Op, replicated bool) err
 	}
 	// Durable: every queued entry up to e.seq is durable too. Apply any
 	// of them not already applied by an earlier-arriving committer.
-	m.stats.LogBytes += logBytes
+	m.logBytes.Add(logBytes)
 	m.drainQueueLocked(e.seq)
 	applyErr := e.err
 	wantCkpt := applyErr == nil && !m.noAutoCkpt && m.reclaimableLocked() > autoCheckpointBytes
@@ -774,13 +778,13 @@ func (m *Manager) capturePreImagesLocked(ops []storage.Op) func(storage.OID) ([]
 func (m *Manager) applyOp(op storage.Op) error {
 	switch op.Kind {
 	case storage.OpWrite:
-		m.stats.Writes++
+		m.writes.Inc()
 		if op.OID >= m.nextOID {
 			m.nextOID = op.OID + 1
 		}
 		return m.write(op.OID, op.Data)
 	case storage.OpFree:
-		m.stats.Frees++
+		m.frees.Inc()
 		return m.free(op.OID)
 	default:
 		return fmt.Errorf("eos: unknown op kind %v", op.Kind)
@@ -970,7 +974,7 @@ func (m *Manager) allocPage(kind byte) (uint32, error) {
 
 func (m *Manager) getPage(no uint32) (*cached, error) {
 	if c, ok := m.cache[no]; ok {
-		m.stats.CacheHits++
+		m.cacheHits.Inc()
 		m.lruMoveFront(c)
 		return c, nil
 	}
@@ -978,7 +982,7 @@ func (m *Manager) getPage(no uint32) (*cached, error) {
 	if _, err := m.f.ReadAt(buf, int64(no)*PageSize); err != nil {
 		return nil, fmt.Errorf("eos: read page %d: %w", no, err)
 	}
-	m.stats.PageReads++
+	m.pageReads.Inc()
 	c := &cached{no: no, buf: buf}
 	m.insertCache(c)
 	if err := m.evictIfNeeded(); err != nil {
@@ -1053,7 +1057,7 @@ func (m *Manager) flushPage(c *cached) error {
 	if _, err := m.f.WriteAt(c.buf, int64(c.no)*PageSize); err != nil {
 		return fmt.Errorf("eos: flush page %d: %w", c.no, err)
 	}
-	m.stats.PageWrites++
+	m.pageWrites.Inc()
 	c.dirty = false
 	return nil
 }
@@ -1163,27 +1167,45 @@ func (m *Manager) checkpointLocked() error {
 	if err != nil {
 		return err
 	}
-	m.stats.Checkpoints++
+	m.checkpoints.Inc()
 	if reclaimed > 0 {
-		m.stats.WALTruncatedBytes += uint64(reclaimed)
+		m.walTruncatedBytes.Add(uint64(reclaimed))
 	}
 	return nil
 }
 
-// Stats implements storage.Manager. Pool counters come from under mu;
-// group-commit counters are merged in from the WAL.
-func (m *Manager) Stats() storage.Stats {
-	m.mu.Lock()
-	st := m.stats
-	m.mu.Unlock()
-	ss := m.log.SyncStats()
-	st.Fsyncs = ss.Fsyncs
-	st.GroupCommits = ss.Commits
-	st.BatchMin = ss.BatchMin
-	st.BatchMax = ss.BatchMax
-	st.CommitWaitNs = ss.CommitWaitNs
-	st.WALHeals = ss.Heals
-	return st
+// RegisterMetrics implements storage.Manager. The group-commit figures
+// come from the log's SyncStats, its consistent snapshot of the fsync
+// batching (min/max included).
+func (m *Manager) RegisterMetrics(r *obs.Registry) {
+	r.Func("storage.reads", "count", "object reads served by the storage manager", m.reads.Value)
+	r.Func("storage.writes", "count", "object writes applied", m.writes.Value)
+	r.Func("storage.frees", "count", "objects freed", m.frees.Value)
+	r.Func("storage.page_reads", "count", "pages fetched from disk (eos only)", m.pageReads.Value)
+	r.Func("storage.page_writes", "count", "pages written to disk (eos only)", m.pageWrites.Value)
+	r.Func("storage.cache_hits", "count", "buffer-pool hits (eos only)", m.cacheHits.Value)
+	r.Func("storage.log_bytes", "bytes", "WAL bytes appended (eos only)", m.logBytes.Value)
+	r.Func("storage.checkpoints", "count", "checkpoints taken, explicit and automatic (eos only)", m.checkpoints.Value)
+	r.Func("storage.wal_truncated_bytes", "bytes", "log bytes reclaimed by checkpoint truncation (eos only)", m.walTruncatedBytes.Value)
+	for _, w := range []struct {
+		name, unit, help string
+		field            func(wal.SyncStats) uint64
+	}{
+		{"storage.fsyncs", "count", "WAL fsyncs issued (eos only)",
+			func(s wal.SyncStats) uint64 { return s.Fsyncs }},
+		{"storage.group_commits", "count", "commits made durable; group_commits/fsyncs is the average batch (eos only)",
+			func(s wal.SyncStats) uint64 { return s.Commits }},
+		{"storage.batch_min", "count", "smallest commits-per-fsync batch seen (eos only)",
+			func(s wal.SyncStats) uint64 { return s.BatchMin }},
+		{"storage.batch_max", "count", "largest commits-per-fsync batch seen (eos only)",
+			func(s wal.SyncStats) uint64 { return s.BatchMax }},
+		{"storage.commit_wait_ns", "ns", "total time committers waited for durability (eos only)",
+			func(s wal.SyncStats) uint64 { return s.CommitWaitNs }},
+		{"storage.wal_heals", "count", "sticky WAL sync errors cleared by self-healing truncation (eos only)",
+			func(s wal.SyncStats) uint64 { return s.Heals }},
+	} {
+		r.Func(w.name, w.unit, w.help, func() uint64 { return w.field(m.log.SyncStats()) })
+	}
 }
 
 // Close checkpoints and closes the store.
@@ -1251,7 +1273,7 @@ func (m *Manager) ReadAt(oid storage.OID, lsn uint64) ([]byte, error) {
 		if !live {
 			return nil, fmt.Errorf("%w: oid %d as of lsn %d", storage.ErrNotFound, oid, lsn)
 		}
-		m.stats.Reads++
+		m.reads.Inc()
 		return data, nil
 	}
 	// No chain: the object has not changed since its chain was trimmed
@@ -1260,7 +1282,7 @@ func (m *Manager) ReadAt(oid storage.OID, lsn uint64) ([]byte, error) {
 	if !ok {
 		return nil, fmt.Errorf("%w: oid %d", storage.ErrNotFound, oid)
 	}
-	m.stats.Reads++
+	m.reads.Inc()
 	return m.readLoc(l)
 }
 

@@ -7,8 +7,22 @@ import (
 	"path/filepath"
 	"testing"
 
+	"ode/internal/obs"
 	"ode/internal/storage"
 )
+
+// metric reads one of m's storage.* counters through a registry, as
+// every consumer does.
+func metric(t *testing.T, m *Manager, name string) uint64 {
+	t.Helper()
+	r := obs.NewRegistry()
+	m.RegisterMetrics(r)
+	v, ok := r.Value(name)
+	if !ok {
+		t.Fatalf("eos registers no %s", name)
+	}
+	return v
+}
 
 func openTemp(t *testing.T, opts Options) (*Manager, string) {
 	t.Helper()
@@ -274,8 +288,8 @@ func TestSmallCacheEvictsCorrectly(t *testing.T) {
 			t.Fatalf("oid %d corrupted under eviction pressure", oid)
 		}
 	}
-	if st := m.Stats(); st.PageReads == 0 || st.PageWrites == 0 {
-		t.Fatalf("tiny cache should hit disk: %+v", st)
+	if reads, writes := metric(t, m, "storage.page_reads"), metric(t, m, "storage.page_writes"); reads == 0 || writes == 0 {
+		t.Fatalf("tiny cache should hit disk: page reads %d, page writes %d", reads, writes)
 	}
 }
 
@@ -351,9 +365,9 @@ func TestStatsProgress(t *testing.T) {
 	if _, err := m.Read(oid); err != nil {
 		t.Fatal(err)
 	}
-	st := m.Stats()
-	if st.Writes != 1 || st.Reads != 1 || st.LogBytes == 0 {
-		t.Fatalf("stats = %+v", st)
+	writes, reads, logBytes := metric(t, m, "storage.writes"), metric(t, m, "storage.reads"), metric(t, m, "storage.log_bytes")
+	if writes != 1 || reads != 1 || logBytes == 0 {
+		t.Fatalf("writes=%d reads=%d log_bytes=%d, want 1, 1, >0", writes, reads, logBytes)
 	}
 }
 

@@ -209,8 +209,7 @@ func TestWALPinBoundsCheckpoint(t *testing.T) {
 	if got, end := m.Log().Base(), m.Log().End(); got != end {
 		t.Fatalf("base after unpinned checkpoint = %d, want end %d", got, end)
 	}
-	st := m.Stats()
-	if st.Checkpoints < 2 || st.WALTruncatedBytes == 0 {
-		t.Fatalf("checkpoint stats not recorded: %+v", st)
+	if ckpts, truncated := metric(t, m, "storage.checkpoints"), metric(t, m, "storage.wal_truncated_bytes"); ckpts < 2 || truncated == 0 {
+		t.Fatalf("checkpoint counters not recorded: checkpoints=%d truncated=%d", ckpts, truncated)
 	}
 }

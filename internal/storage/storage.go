@@ -18,6 +18,8 @@ package storage
 import (
 	"errors"
 	"fmt"
+
+	"ode/internal/obs"
 )
 
 // OID is a persistent object identifier — the run-time form of the
@@ -63,33 +65,9 @@ type Op struct {
 	Data []byte // OpWrite only
 }
 
-// Stats counts storage activity; experiment E10 and the bench/ ledger
-// report these alongside throughput.
-type Stats struct {
-	Reads      uint64 // object reads served
-	Writes     uint64 // object writes applied
-	Frees      uint64 // objects freed
-	PageReads  uint64 // pages fetched from disk (eos only)
-	PageWrites uint64 // pages written to disk (eos only)
-	CacheHits  uint64 // buffer-pool hits (eos only)
-	LogBytes   uint64 // WAL bytes appended (eos only)
-
-	// Group-commit observability (eos only; see internal/wal).
-	Fsyncs       uint64 // WAL fsyncs issued
-	GroupCommits uint64 // commits made durable (GroupCommits/Fsyncs = avg batch)
-	BatchMin     uint64 // smallest commits-per-fsync batch seen
-	BatchMax     uint64 // largest commits-per-fsync batch seen
-	CommitWaitNs uint64 // total time committers waited for durability
-	WALHeals     uint64 // sticky WAL sync errors cleared by self-healing (eos only)
-
-	// Checkpoint observability (eos only).
-	Checkpoints       uint64 // checkpoints taken (explicit + auto)
-	WALTruncatedBytes uint64 // log bytes reclaimed by checkpoint truncation
-}
-
 // VersionStats counts multi-version (MVCC) activity in a Versioned
-// manager. Field names surface as obj.versions_* metrics via
-// obs.RegisterStats.
+// manager; RegisterVersionMetrics serves each field as an
+// obj.versions_* metric.
 type VersionStats struct {
 	VersionsLive         uint64 // versions currently retained across all chains
 	VersionsChains       uint64 // objects with a non-empty version chain
@@ -134,6 +112,37 @@ type Versioned interface {
 	GCVersions() uint64
 }
 
+// RegisterVersionMetrics exposes v's version-chain figures on r as the
+// obj.versions_* metrics: they describe what versions of objects
+// snapshot readers can see.
+func RegisterVersionMetrics(r *obs.Registry, v Versioned) {
+	for _, m := range []struct {
+		name, unit, help string
+		field            func(VersionStats) uint64
+	}{
+		{"obj.versions_live", "count", "versions currently held across all chains (gauge)",
+			func(s VersionStats) uint64 { return s.VersionsLive }},
+		{"obj.versions_chains", "count", "objects with a live version chain (gauge)",
+			func(s VersionStats) uint64 { return s.VersionsChains }},
+		{"obj.versions_chain_max", "count", "longest single chain (gauge)",
+			func(s VersionStats) uint64 { return s.VersionsChainMax }},
+		{"obj.versions_appended", "count", "versions appended by committed writes",
+			func(s VersionStats) uint64 { return s.VersionsAppended }},
+		{"obj.versions_preimages", "count", "base images captured on a chain's first stamp (serve snapshots pinned before the first versioned write)",
+			func(s VersionStats) uint64 { return s.VersionsPreimages }},
+		{"obj.versions_trimmed", "count", "versions reclaimed by GC",
+			func(s VersionStats) uint64 { return s.VersionsTrimmed }},
+		{"obj.versions_gc_runs", "count", "GC sweeps, automatic and explicit",
+			func(s VersionStats) uint64 { return s.VersionsGcRuns }},
+		{"obj.versions_pins", "count", "snapshots currently pinned — every open snapshot counts, including several at one LSN (gauge)",
+			func(s VersionStats) uint64 { return s.VersionsPins }},
+		{"obj.versions_oldest_pin_lsn", "lsn", "oldest pinned snapshot LSN — the GC retention floor when anything is pinned (gauge; 0 when nothing is pinned)",
+			func(s VersionStats) uint64 { return s.VersionsOldestPinLsn }},
+	} {
+		r.Func(m.name, m.unit, m.help, func() uint64 { return m.field(v.VersionStats()) })
+	}
+}
+
 // Manager is the storage-manager seam shared by eos and dali.
 type Manager interface {
 	// Name identifies the implementation ("eos" or "dali").
@@ -164,8 +173,9 @@ type Manager interface {
 	// durable in the primary store and discards the log prefix.
 	Checkpoint() error
 
-	// Stats returns a snapshot of activity counters.
-	Stats() Stats
+	// RegisterMetrics exposes the manager's storage.* counters on r
+	// (names in docs/OBSERVABILITY.md).
+	RegisterMetrics(r *obs.Registry)
 
 	// Close releases resources; the manager is unusable afterwards.
 	Close() error

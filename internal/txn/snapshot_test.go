@@ -61,7 +61,7 @@ func TestSnapshotZeroLockTraffic(t *testing.T) {
 	m := newManager()
 	oid := commit(t, m, "img")
 
-	before := m.Locks().Stats()
+	acq, waits := metric(t, m, "lock.acquisitions"), metric(t, m, "lock.waits")
 	snap, err := m.BeginSnapshot()
 	if err != nil {
 		t.Fatal(err)
@@ -81,12 +81,11 @@ func TestSnapshotZeroLockTraffic(t *testing.T) {
 	if err := snap.Commit(); err != nil {
 		t.Fatal(err)
 	}
-	after := m.Locks().Stats()
-	if after.Acquisitions != before.Acquisitions || after.Waits != before.Waits {
-		t.Fatalf("snapshot transaction touched the lock manager: %+v -> %+v", before, after)
+	if metric(t, m, "lock.acquisitions") != acq || metric(t, m, "lock.waits") != waits {
+		t.Fatal("snapshot transaction touched the lock manager")
 	}
-	if got := m.Stats(); got.Snapshots != 1 || got.SnapshotReads != 1 {
-		t.Fatalf("Stats = %+v, want Snapshots=1 SnapshotReads=1", got)
+	if snaps, reads := metric(t, m, "txn.snapshots"), metric(t, m, "txn.snapshot_reads"); snaps != 1 || reads != 1 {
+		t.Fatalf("txn.snapshots = %d, txn.snapshot_reads = %d, want 1, 1", snaps, reads)
 	}
 }
 

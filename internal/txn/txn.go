@@ -32,11 +32,11 @@ package txn
 import (
 	"errors"
 	"fmt"
-	"sync"
 	"sync/atomic"
 	"time"
 
 	"ode/internal/lock"
+	"ode/internal/obs"
 	"ode/internal/storage"
 )
 
@@ -84,16 +84,6 @@ var (
 	ErrNoVersions = errors.New("txn: storage manager keeps no versions (snapshot reads unavailable)")
 )
 
-// Stats counts transaction outcomes.
-type Stats struct {
-	Begun         uint64
-	Committed     uint64
-	Aborted       uint64
-	System        uint64 // system transactions begun (§5.5)
-	Snapshots     uint64 // snapshot transactions begun
-	SnapshotReads uint64 // reads served from pinned versions, lock-free
-}
-
 // Manager creates and tracks transactions over one storage manager and
 // one lock manager.
 type Manager struct {
@@ -107,13 +97,9 @@ type Manager struct {
 	// observability layer feeds it into the txn.commit_wait_ns histogram.
 	commitObs atomic.Pointer[func(time.Duration)]
 
-	// snapReads counts lock-free snapshot reads. Kept out of the
-	// mu-guarded stats so the snapshot read path touches no mutex at
-	// all; Stats() merges it in.
-	snapReads atomic.Uint64
-
-	mu    sync.Mutex
-	stats Stats
+	// Outcome counters, exposed by RegisterMetrics. Atomic, so the
+	// snapshot read path touches no mutex at all.
+	begun, committed, aborted, system, snapshots, snapReads obs.Counter
 }
 
 // NewManager returns a transaction manager bound to store and locks.
@@ -136,12 +122,10 @@ func (m *Manager) BeginSystem() *Txn { return m.begin(true) }
 
 func (m *Manager) begin(system bool) *Txn {
 	id := ID(m.nextID.Add(1))
-	m.mu.Lock()
-	m.stats.Begun++
+	m.begun.Inc()
 	if system {
-		m.stats.System++
+		m.system.Inc()
 	}
-	m.mu.Unlock()
 	return &Txn{
 		id:     id,
 		system: system,
@@ -162,10 +146,8 @@ func (m *Manager) BeginSnapshot() (*Txn, error) {
 		return nil, ErrNoVersions
 	}
 	id := ID(m.nextID.Add(1))
-	m.mu.Lock()
-	m.stats.Begun++
-	m.stats.Snapshots++
-	m.mu.Unlock()
+	m.begun.Inc()
+	m.snapshots.Inc()
 	return &Txn{
 		id:      id,
 		m:       m,
@@ -175,13 +157,19 @@ func (m *Manager) BeginSnapshot() (*Txn, error) {
 	}, nil
 }
 
-// Stats returns a snapshot of the counters.
-func (m *Manager) Stats() Stats {
-	m.mu.Lock()
-	st := m.stats
-	m.mu.Unlock()
-	st.SnapshotReads = m.snapReads.Load()
-	return st
+// RegisterMetrics exposes the transaction counters on r, plus the
+// snapshot LSN gauge when the store keeps versions. Names are
+// documented in docs/OBSERVABILITY.md.
+func (m *Manager) RegisterMetrics(r *obs.Registry) {
+	r.Func("txn.begun", "count", "transactions started", m.begun.Value)
+	r.Func("txn.committed", "count", "transactions committed durably", m.committed.Value)
+	r.Func("txn.aborted", "count", "transactions rolled back (explicit, doomed, deadlock victim, failed commit)", m.aborted.Value)
+	r.Func("txn.system", "count", "system transactions begun for detached trigger processing (§5.5)", m.system.Value)
+	r.Func("txn.snapshots", "count", "snapshot (lock-free read-only) transactions begun", m.snapshots.Value)
+	r.Func("txn.snapshot_reads", "count", "object reads served from a pinned snapshot, bypassing the lock manager", m.snapReads.Value)
+	if v, ok := m.store.(storage.Versioned); ok {
+		r.Func("txn.snapshot_lsn", "lsn", "commit LSN a snapshot transaction begun now would pin", v.SnapshotLSN)
+	}
 }
 
 // SetCommitObserver installs fn to be called with each committed
@@ -304,7 +292,7 @@ func (t *Txn) Read(oid storage.OID) ([]byte, error) {
 	if t.snap != nil {
 		data, err := t.snap.ReadAt(oid, t.snapLSN)
 		if err == nil {
-			t.m.snapReads.Add(1)
+			t.m.snapReads.Inc()
 		}
 		return data, err
 	}
@@ -451,9 +439,7 @@ func (t *Txn) Commit() error {
 	t.state = Committed
 	t.unpin()
 	t.m.locks.ReleaseAll(lock.TxnID(t.id))
-	t.m.mu.Lock()
-	t.m.stats.Committed++
-	t.m.mu.Unlock()
+	t.m.committed.Inc()
 	for _, fn := range t.afterCommit {
 		fn()
 	}
@@ -494,9 +480,7 @@ func (t *Txn) rollback() {
 	t.writes = nil
 	t.order = nil
 	t.m.locks.ReleaseAll(lock.TxnID(t.id))
-	t.m.mu.Lock()
-	t.m.stats.Aborted++
-	t.m.mu.Unlock()
+	t.m.aborted.Inc()
 	for _, fn := range t.afterAbort {
 		fn()
 	}

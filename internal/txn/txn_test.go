@@ -8,12 +8,27 @@ import (
 	"time"
 
 	"ode/internal/lock"
+	"ode/internal/obs"
 	"ode/internal/storage"
 	"ode/internal/storage/dali"
 )
 
 func newManager() *Manager {
 	return NewManager(dali.New(), lock.NewManager())
+}
+
+// metric reads one of m's txn.* or lock.* counters through a registry,
+// as every consumer does.
+func metric(t *testing.T, m *Manager, name string) uint64 {
+	t.Helper()
+	r := obs.NewRegistry()
+	m.RegisterMetrics(r)
+	m.Locks().RegisterMetrics(r)
+	v, ok := r.Value(name)
+	if !ok {
+		t.Fatalf("no metric %s", name)
+	}
+	return v
 }
 
 func TestCommitMakesWritesVisible(t *testing.T) {
@@ -135,8 +150,8 @@ func TestRequestAbortDoomsCommit(t *testing.T) {
 	if m.Store().Exists(oid) {
 		t.Fatal("doomed txn leaked writes")
 	}
-	if m.Stats().Aborted != 1 {
-		t.Fatalf("stats: %+v", m.Stats())
+	if got := metric(t, m, "txn.aborted"); got != 1 {
+		t.Fatalf("txn.aborted = %d, want 1", got)
 	}
 }
 
@@ -267,8 +282,8 @@ func TestAfterCommitCanStartSystemTxn(t *testing.T) {
 	if !m.Store().Exists(sysOID) {
 		t.Fatal("system txn effects missing")
 	}
-	if m.Stats().System != 1 {
-		t.Fatalf("stats: %+v", m.Stats())
+	if got := metric(t, m, "txn.system"); got != 1 {
+		t.Fatalf("txn.system = %d, want 1", got)
 	}
 }
 
@@ -380,9 +395,8 @@ func TestConcurrentTransactions(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
-	st := m.Stats()
-	if st.Committed != workers*perWorker {
-		t.Fatalf("committed %d, want %d", st.Committed, workers*perWorker)
+	if got := metric(t, m, "txn.committed"); got != workers*perWorker {
+		t.Fatalf("committed %d, want %d", got, workers*perWorker)
 	}
 	count := 0
 	m.Store().Iterate(func(storage.OID, []byte) error { count++; return nil })

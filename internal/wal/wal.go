@@ -389,7 +389,7 @@ func (l *Log) waitDurable(target int64) error {
 		l.gcCond.Broadcast()
 		if err == nil {
 			// Tell the durable observer outside both locks: it may call
-			// back into DurableLSN/ReadDurable.
+			// back into ReadDurable.
 			l.gc.Unlock()
 			l.pokeDurableObserver()
 			l.gc.Lock()
@@ -640,24 +640,11 @@ func (l *Log) End() LSN {
 	return LSN(l.base + l.size)
 }
 
-// DurableLSN returns the global LSN one past the last byte proven on
-// stable storage. Replication ships only up to here: a record below
-// DurableLSN can never be lost to a crash, so a replica can apply it
-// without waiting.
-func (l *Log) DurableLSN() LSN {
-	l.mu.Lock()
-	base := l.base
-	l.mu.Unlock()
-	l.gc.Lock()
-	defer l.gc.Unlock()
-	return LSN(base + l.durable)
-}
-
 // SetDurableObserver installs fn, called (outside all log locks) after
 // every successful sync that may have advanced the durable boundary,
 // and once more on Close. At most one observer is supported; nil
 // removes it. The replication hub uses this to wake record shippers
-// instead of polling DurableLSN.
+// instead of polling ReadDurable.
 func (l *Log) SetDurableObserver(fn func()) {
 	if fn == nil {
 		l.durObs.Store(nil)

@@ -15,75 +15,69 @@ import (
 )
 
 // TestObservabilityDocCoverage enforces the contract stated in package
-// obs: every metric name registered by an open database, every trace step
-// kind, and every JSON field of the trace schema must appear verbatim in
-// docs/OBSERVABILITY.md. Adding a metric without documenting it fails CI.
-// It also holds the experiment catalogue to the code: every test or
+// obs: every metric a main-memory (dali) or disk (eos) database
+// registers has a row in docs/OBSERVABILITY.md whose unit column equals
+// the registered unit, and registers with help text; every trace step
+// kind, incident kind, chain kind and JSON field of the trace schema
+// appears there verbatim. Adding a metric without documenting it fails
+// CI. It also holds the experiment catalogue to the code: every test or
 // benchmark EXPERIMENTS.md and DESIGN.md cite must exist.
 func TestObservabilityDocCoverage(t *testing.T) {
-	raw, err := os.ReadFile("docs/OBSERVABILITY.md")
+	const path = "docs/OBSERVABILITY.md"
+	doc := readDoc(t, path)
+	mem, err := ode.OpenMemory()
 	if err != nil {
-		t.Fatalf("docs/OBSERVABILITY.md missing: %v", err)
+		t.Fatal(err)
 	}
-	doc := string(raw)
-
-	db, _ := openAccountDB(t)
-	for _, name := range db.Observability().Names() {
-		if !strings.Contains(doc, name) {
-			t.Errorf("metric %q is not documented in docs/OBSERVABILITY.md", name)
-		}
+	t.Cleanup(func() { mem.Close() })
+	disk, err := ode.OpenDisk(filepath.Join(t.TempDir(), "doc.eos"))
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, kind := range []string{
-		obs.StepTransition, obs.StepMask, obs.StepFire,
-		obs.StepCommitWait, obs.StepRetry, obs.StepActionStart, obs.StepActionEnd,
-		obs.StepSnapshot,
-	} {
-		if !strings.Contains(doc, `"`+kind+`"`) {
-			t.Errorf("trace step kind %q is not documented in docs/OBSERVABILITY.md", kind)
-		}
-	}
-	for _, kind := range obs.IncidentKinds {
-		if !strings.Contains(doc, `"`+kind+`"`) {
-			t.Errorf("flight incident kind %q is not documented in docs/OBSERVABILITY.md", kind)
-		}
-	}
-	for _, kind := range []string{
-		obs.ChainTrace, obs.ChainIncident, obs.ChainHop, obs.ChainCompletion,
-	} {
-		if !strings.Contains(doc, `"`+kind+`"`) {
-			t.Errorf("chain event kind %q is not documented in docs/OBSERVABILITY.md", kind)
-		}
-	}
-	for _, op := range []string{"trace.chain", "trace.rate"} {
-		if !strings.Contains(doc, "`"+op+"`") {
-			t.Errorf("op %q is not documented in docs/OBSERVABILITY.md", op)
-		}
-	}
-	for _, term := range []string{"Fleet observability", "fleet-routed", "obs.trace_overhead_frac"} {
-		if !strings.Contains(doc, term) {
-			t.Errorf("docs/OBSERVABILITY.md does not mention %q", term)
-		}
-	}
-	for _, typ := range []reflect.Type{
-		reflect.TypeOf(obs.Step{}),
-		reflect.TypeOf(obs.TraceRecord{}),
-		reflect.TypeOf(obs.IncidentRecord{}),
-		reflect.TypeOf(obs.MetricValue{}),
-		reflect.TypeOf(obs.Bucket{}),
-		reflect.TypeOf(obs.ChainEvent{}),
-		reflect.TypeOf(obs.ChainNode{}),
-	} {
-		for i := 0; i < typ.NumField(); i++ {
-			tag := typ.Field(i).Tag.Get("json")
-			name := strings.Split(tag, ",")[0]
-			if name == "" || name == "-" {
+	t.Cleanup(func() { disk.Close() })
+	var names, rows, units []string
+	var helped strings.Builder
+	seen := map[string]bool{}
+	for _, db := range []*ode.Database{mem, disk} {
+		for _, m := range db.Observability().Snapshot() {
+			if seen[m.Name] {
 				continue
 			}
-			if !strings.Contains(doc, "`"+name+"`") {
-				t.Errorf("%s JSON field `%s` is not documented in docs/OBSERVABILITY.md", typ.Name(), name)
+			seen[m.Name] = true
+			names = append(names, "`"+m.Name+"`")
+			rows = append(rows, "| `"+m.Name+"` |")
+			units = append(units, "| `"+m.Name+"` | "+m.Unit+" |")
+			if m.Help != "" {
+				helped.WriteString("`" + m.Name + "`")
 			}
 		}
 	}
+	quote := func(q string, terms ...string) []string {
+		out := make([]string, len(terms))
+		for i, term := range terms {
+			out[i] = q + term + q
+		}
+		return out
+	}
+	checks := []docRow{
+		{path, doc, "metric row", rows},
+		{path, doc, "metric row with its registered unit", units},
+		{"its registration (empty help)", helped.String(), "metric", names},
+		{path, doc, "trace step kind", quote(`"`, obs.StepTransition, obs.StepMask, obs.StepFire,
+			obs.StepCommitWait, obs.StepRetry, obs.StepActionStart, obs.StepActionEnd, obs.StepSnapshot)},
+		{path, doc, "flight incident kind", quote(`"`, obs.IncidentKinds...)},
+		{path, doc, "chain event kind", quote(`"`, obs.ChainTrace, obs.ChainIncident, obs.ChainHop, obs.ChainCompletion)},
+		{path, doc, "op", quote("`", "trace.chain", "trace.rate")},
+		{path, doc, "term", []string{"Fleet observability", "fleet-routed", "obs.trace_overhead_frac"}},
+	}
+	for _, v := range []any{
+		obs.Step{}, obs.TraceRecord{}, obs.IncidentRecord{}, obs.MetricValue{},
+		obs.Bucket{}, obs.ChainEvent{}, obs.ChainNode{},
+	} {
+		typ := reflect.TypeOf(v)
+		checks = append(checks, docRow{path, doc, typ.Name() + " JSON field", jsonFields(typ)})
+	}
+	checkDocRows(t, checks)
 
 	declared := map[string]bool{}
 	declRE := regexp.MustCompile(`(?m)^func ((?:Test|Benchmark|Fuzz)\w+)\(`)
@@ -261,44 +255,5 @@ func TestTraceSnapshotStep(t *testing.T) {
 	}
 	if !found {
 		t.Fatalf("no %q step recorded for a snapshot posting", obs.StepSnapshot)
-	}
-}
-
-// TestRegistrySubsumesStats checks that the pre-existing Stats accessors
-// and the registry report the same counters, and that the storage, txn,
-// and lock groups are present.
-func TestRegistrySubsumesStats(t *testing.T) {
-	db, ref := openAccountDB(t)
-	tx := db.Begin()
-	if _, err := db.Invoke(tx, ref, "Deposit", 10.0); err != nil {
-		t.Fatal(err)
-	}
-	if err := tx.Commit(); err != nil {
-		t.Fatal(err)
-	}
-	byName := map[string]uint64{}
-	groups := map[string]bool{}
-	for _, m := range db.Observability().Snapshot() {
-		byName[m.Name] = m.Value
-		groups[strings.SplitN(m.Name, ".", 2)[0]] = true
-	}
-	for _, g := range []string{"core", "storage", "txn", "lock"} {
-		if !groups[g] {
-			t.Errorf("registry has no %q metrics", g)
-		}
-	}
-	st := db.Stats()
-	if st.EventsPosted == 0 {
-		t.Fatal("no events posted")
-	}
-	if byName["core.events_posted"] != st.EventsPosted {
-		t.Errorf("core.events_posted = %d, Stats().EventsPosted = %d", byName["core.events_posted"], st.EventsPosted)
-	}
-	if byName["txn.committed"] == 0 {
-		t.Error("txn.committed = 0 after a commit")
-	}
-	db.ResetStats()
-	if got := db.Stats(); got.EventsPosted != 0 || got.FiredImmediate != 0 {
-		t.Errorf("ResetStats left %+v", got)
 	}
 }

@@ -93,8 +93,6 @@ type (
 	ActionFunc = core.ActionFunc
 	// Txn is a transaction handle.
 	Txn = txn.Txn
-	// Stats counts trigger-system activity.
-	Stats = core.Stats
 	// LocalTriggerID identifies a transaction-local rule activation
 	// (the paper's §8 "local rules" extension; see
 	// Database.ActivateLocal).

@@ -230,11 +230,11 @@ func TestRelativeTriggerViaFacade(t *testing.T) {
 
 func TestStatsExposed(t *testing.T) {
 	db, ref := openAccountDB(t)
-	db.ResetStats()
+	posted, _ := db.Observability().Value("core.events_posted")
 	tx := db.Begin()
 	db.Invoke(tx, ref, "Deposit", 1.0)
 	tx.Commit()
-	if db.Stats().EventsPosted == 0 {
-		t.Fatal("stats not counting")
+	if now, _ := db.Observability().Value("core.events_posted"); now == posted {
+		t.Fatal("core.events_posted not counting")
 	}
 }

@@ -26,16 +26,8 @@ type docRow struct {
 // Adding an op, a field or a metric without its doc line fails here.
 func TestProtocolDocCoverage(t *testing.T) {
 	var fields []string
-	for _, typ := range []reflect.Type{
-		reflect.TypeOf(server.Request{}),
-		reflect.TypeOf(server.Response{}),
-		reflect.TypeOf(server.ProtoStatus{}),
-	} {
-		for i := 0; i < typ.NumField(); i++ {
-			if name, _, _ := strings.Cut(typ.Field(i).Tag.Get("json"), ","); name != "" && name != "-" {
-				fields = append(fields, "`"+name+"`")
-			}
-		}
+	for _, v := range []any{server.Request{}, server.Response{}, server.ProtoStatus{}} {
+		fields = append(fields, jsonFields(reflect.TypeOf(v))...)
 	}
 	protoDoc := readDoc(t, "docs/PROTOCOL.md")
 	checkDocRows(t, []docRow{
@@ -76,6 +68,17 @@ func checkDocRows(t *testing.T, rows []docRow) {
 			}
 		}
 	}
+}
+
+// jsonFields returns the JSON names of typ's fields, in backquotes.
+func jsonFields(typ reflect.Type) []string {
+	var fields []string
+	for i := 0; i < typ.NumField(); i++ {
+		if name, _, _ := strings.Cut(typ.Field(i).Tag.Get("json"), ","); name != "" && name != "-" {
+			fields = append(fields, "`"+name+"`")
+		}
+	}
+	return fields
 }
 
 func readDoc(t *testing.T, path string) string {
