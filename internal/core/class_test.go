@@ -1,8 +1,12 @@
 package core
 
 import (
+	"errors"
 	"strings"
 	"testing"
+
+	"ode/internal/fsm"
+	"ode/internal/storage/dali"
 )
 
 func noopAction(ctx *Ctx, self any, act *Activation) error { return nil }
@@ -175,5 +179,41 @@ func TestClassIDStableAcrossReopen(t *testing.T) {
 	defer tx.Abort()
 	if _, err := db2.Get(tx, ref); err != nil {
 		t.Fatalf("second database cannot read object: %v", err)
+	}
+}
+
+// bigMachineClass declares one trigger, "after A" followed by n copies
+// of "(after A || after B)", whose unanchored machine needs 2^(n+1)
+// states.
+func bigMachineClass(n int) *Class {
+	return MustClass("Big",
+		Factory(func() any { return new(CredCard) }),
+		Method("A", noopMethod),
+		Method("B", noopMethod),
+		Events("after A", "after B"),
+		Trigger("Doubling", "after A"+strings.Repeat(", (after A || after B)", n), noopAction),
+	)
+}
+
+// TestRegisterRejectsLargeMachine checks that Register fails with
+// ErrMachineTooLarge, naming the class, the trigger and the cap, when a
+// trigger's machine would pass the per-machine state cap.
+func TestRegisterRejectsLargeMachine(t *testing.T) {
+	db, err := NewDatabase(dali.New())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	err = db.Register(bigMachineClass(16))
+	if !errors.Is(err, fsm.ErrMachineTooLarge) {
+		t.Fatalf("Register = %v, want ErrMachineTooLarge", err)
+	}
+	for _, want := range []string{"Big", "Doubling", "1024"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("error %q does not name %q", err, want)
+		}
+	}
+	if _, ok := db.ClassOf("Big"); ok {
+		t.Error("the rejected class was bound")
 	}
 }

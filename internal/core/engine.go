@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"ode/internal/event"
-	"ode/internal/fsm"
 	"ode/internal/lock"
 	"ode/internal/obj"
 	"ode/internal/obs"
@@ -164,7 +163,7 @@ type instance struct {
 type firedRec struct {
 	bt     *BoundTrigger
 	rec    triggerStateRec
-	tsOID  storage.OID
+	tsOID  storage.OID // InvalidOID for a local rule
 	ref    Ref
 	evArgs []any // §8 extension: posting event's member-function args
 
@@ -179,6 +178,11 @@ type firedRec struct {
 	cause       obs.Cause
 	causeParent obs.Cause
 	patCause    string
+}
+
+// activation is the Activation a mask or action of f sees.
+func (f *firedRec) activation() *Activation {
+	return &Activation{Trigger: f.rec.Name, Args: f.rec.Args, Ref: f.ref, ID: TriggerID{f.tsOID}, EventArgs: f.evArgs}
 }
 
 // txnState is the per-transaction trigger-engine state: the instance
@@ -197,9 +201,9 @@ type txnState struct {
 	indepList []firedRec
 
 	// localTrigs are the transaction's local-rule activations (§8
-	// extension; see local.go). They are deallocated with this state.
-	localTrigs []*localActivation
-	localSeq   int
+	// extension; see local.go), kept as the firing each would make; a
+	// dead one is in deadState. They are deallocated with this state.
+	localTrigs []*firedRec
 
 	// ctxCause is the provenance parent for postings made while this
 	// transaction runs a trigger action (zero outside actions): an event
@@ -347,19 +351,6 @@ func (st *txnState) writeBack(ref Ref, inst *instance) error {
 	return st.db.om.Update(st.tx, ref.oid, payload)
 }
 
-// header re-reads the envelope header (flags may change within the txn).
-func (st *txnState) header(ref Ref) (obj.Header, error) {
-	if err := st.tx.LockShared(objLockRes(ref.oid)); err != nil {
-		return obj.Header{}, err
-	}
-	img, err := st.tx.Read(ref.oid)
-	if err != nil {
-		return obj.Header{}, err
-	}
-	h, _, err := obj.DecodeEnvelope(img)
-	return h, err
-}
-
 // --- public object operations -------------------------------------------------
 
 // Create allocates a persistent object (pnew, §2). val must be the
@@ -399,15 +390,6 @@ func (db *Database) Get(tx *txn.Txn, ref Ref) (any, error) {
 		return nil, err
 	}
 	return inst.val, nil
-}
-
-// ClassNameOf reports the class of a stored object.
-func (db *Database) ClassNameOf(tx *txn.Txn, ref Ref) (string, error) {
-	inst, _, err := db.state(tx).load(ref, false)
-	if err != nil {
-		return "", err
-	}
-	return inst.bc.Def.name, nil
 }
 
 // Delete removes an object (pdelete) along with its active trigger
@@ -558,34 +540,11 @@ func (db *Database) Activate(tx *txn.Txn, ref Ref, trigger string, args ...any) 
 	if err := db.writable(); err != nil {
 		return TriggerID{}, err
 	}
-	st := db.state(tx)
-	inst, _, err := st.load(ref, false)
+	f, err := db.state(tx).activation(ref, trigger, args)
 	if err != nil {
 		return TriggerID{}, err
 	}
-	bt, ok := inst.bc.triggersByName[trigger]
-	if !ok {
-		return TriggerID{}, fmt.Errorf("%w: %s on class %s", ErrUnknownTrigger, trigger, inst.bc.Def.name)
-	}
-	// JSON round-trip the args now so stored and replayed values agree.
-	rec := triggerStateRec{
-		TriggerNum: bt.Def.num,
-		OwnerClass: bt.owner.ID,
-		ObjOID:     uint64(ref.oid),
-		StateNum:   bt.Machine.Start,
-		Name:       trigger,
-		Args:       normalizeArgs(args),
-	}
-	// A mask in first position must be evaluated at activation.
-	if start := bt.Machine.States[bt.Machine.Start]; start.Mask >= 0 {
-		act := &Activation{Trigger: trigger, Args: rec.Args, Ref: ref}
-		settled, _, err := bt.Machine.Settle(bt.Machine.Start, st.maskEval(ref, bt, act))
-		if err != nil {
-			return TriggerID{}, err
-		}
-		rec.StateNum = settled
-	}
-	payload, err := json.Marshal(&rec)
+	payload, err := json.Marshal(&f.rec)
 	if err != nil {
 		return TriggerID{}, err
 	}
@@ -677,35 +636,45 @@ func (db *Database) ActiveTriggers(tx *txn.Txn, ref Ref) ([]ActiveTriggerInfo, e
 
 // --- event posting (§5.4.5) ------------------------------------------------------
 
-// maskEval builds the MaskEval closure for one trigger activation: it
-// resolves the named predicate on the trigger's defining class and
-// evaluates it against the (lazily loaded) object.
-func (st *txnState) maskEval(ref Ref, bt *BoundTrigger, act *Activation) func(string) (bool, error) {
-	return func(name string) (bool, error) {
-		fn, ok := bt.owner.Def.masks[name]
-		if !ok {
-			return false, fmt.Errorf("core: trigger %s: mask %q not found on class %s", bt.Def.Name, name, bt.owner.Def.name)
-		}
-		inst, _, err := st.load(ref, false)
-		if err != nil {
-			return false, err
-		}
-		st.db.met.masksEvaluated.Inc()
-		ctx := &Ctx{db: st.db, tx: st.tx, ref: ref}
-		return fn(ctx, inst.val, act)
+// evalMask evaluates trigger bt's named mask predicate, resolved on the
+// trigger's defining class, against the (lazily loaded) object ref.
+func (st *txnState) evalMask(ref Ref, bt *BoundTrigger, act *Activation, name string) (bool, error) {
+	fn, ok := bt.owner.Def.masks[name]
+	if !ok {
+		return false, fmt.Errorf("core: trigger %s: mask %q not found on class %s", bt.Def.Name, name, bt.owner.Def.name)
 	}
+	inst, _, err := st.load(ref, false)
+	if err != nil {
+		return false, err
+	}
+	st.db.met.masksEvaluated.Inc()
+	return fn(&Ctx{db: st.db, tx: st.tx, ref: ref}, inst.val, act)
 }
 
-// post implements the PostEvent algorithm of §5.4.5:
-//
-//  1. The object header's control bit short-circuits objects with no
-//     active triggers (footnote 3).
-//  2. The trigger index yields all active TriggerStates; each one's
-//     defining-class descriptor is found through trigobjtype
-//     (footnote 4), its FSM advanced, and any mask cascade resolved.
-//  3. Only after every trigger has seen the event do the accepted ones
-//     fire (sequentially, in unspecified order — Ode lacks nested
-//     transactions, §5.4.5), routed by coupling mode.
+// activation resolves the named trigger (own or inherited) of ref's
+// class and returns a new activation of it with args, in the state it
+// begins in. Persistent and local activation share it.
+func (st *txnState) activation(ref Ref, trigger string, args []any) (*firedRec, error) {
+	inst, _, err := st.load(ref, false)
+	if err != nil {
+		return nil, err
+	}
+	bt, ok := inst.bc.triggersByName[trigger]
+	if !ok {
+		return nil, fmt.Errorf("%w: %s on class %s", ErrUnknownTrigger, trigger, inst.bc.Def.name)
+	}
+	// JSON round-trip the args now so stored and replayed values agree.
+	f := &firedRec{bt: bt, ref: ref, rec: triggerStateRec{TriggerNum: bt.Def.num, OwnerClass: bt.owner.ID,
+		ObjOID: uint64(ref.oid), Name: trigger, Args: normalizeArgs(args)}}
+	f.rec.StateNum, err = startOf(bt.Machine, func(name string) (bool, error) { return st.evalMask(ref, bt, f.activation(), name) }, nil)
+	return f, err
+}
+
+// post implements the PostEvent algorithm of §5.4.5 for local and
+// persistent rules alike: detect sees every activation on ref, every
+// activation it fired is disposed of, and only then do the accepted ones
+// fire (sequentially, in unspecified order — Ode lacks nested
+// transactions, §5.4.5), routed by coupling mode.
 func (st *txnState) post(ref Ref, ev event.ID, evArgs []any) error {
 	db := st.db
 	db.met.eventsPosted.Inc()
@@ -731,143 +700,173 @@ func (st *txnState) post(ref Ref, ev event.ID, evArgs []any) error {
 		tr.SetCause(cause, parent)
 		defer db.tracer.Publish(tr)
 	}
-	// Local rules see every posting, independent of the header fast path
-	// (they live in transaction memory, not in the index).
-	if err := st.postLocal(ref, ev, evArgs); err != nil {
-		return err
+	fired, err := st.detectLocal(ref, ev, evArgs)
+	if err == nil {
+		fired, err = st.detectStored(fired, ref, ev, evArgs, cause, parent, tr)
 	}
-	// A snapshot transaction cannot advance persistent trigger state: it
-	// holds no locks and writes nothing, so FSM advances would be lost at
-	// commit (and the header read below would be the only lock taken).
-	// Local rules above have already seen the event; persistent trigger
-	// processing is suppressed, and the trace records the pinned LSN.
+	// Whatever detection disposed of fires, even if it failed part way:
+	// those activations' states from before the posting are gone.
+	if ferr := st.fire(fired); err == nil {
+		err = ferr
+	}
+	return err
+}
+
+// detectStored runs detect over the persistent activations on ref, then
+// writes every moved state and disposes of every fired activation. It
+// appends the firings to fired, none of which has run, and returns them
+// also on error: each one appended has been disposed of.
+func (st *txnState) detectStored(fired []firedRec, ref Ref, ev event.ID, evArgs []any, cause, parent obs.Cause, tr *obs.Trace) ([]firedRec, error) {
+	db := st.db
+	// A snapshot transaction holds no locks and writes nothing, so it
+	// cannot advance persistent trigger state. Local rules have seen the
+	// event; the trace records the pinned LSN.
 	if st.tx.IsSnapshot() {
 		db.met.snapshotPosts.Inc()
 		tr.Add(obs.Step{Kind: obs.StepSnapshot, LSN: st.tx.SnapshotLSN()})
-		return nil
+		return fired, nil
 	}
-	h, err := st.header(ref)
+	// Footnote 3: the header's control bit (re-read: activation may have
+	// set it in this transaction) short-circuits objects without triggers.
+	if err := st.tx.LockShared(lock.Resource{Space: lock.SpaceObject, ID: uint64(ref.oid)}); err != nil {
+		return fired, err
+	}
+	img, err := st.tx.Read(ref.oid)
+	if errors.Is(err, storage.ErrNotFound) {
+		return fired, nil // object deleted within this transaction
+	}
+	var h obj.Header
+	if err == nil {
+		h, _, err = obj.DecodeEnvelope(img)
+	}
 	if err != nil {
-		if errors.Is(err, storage.ErrNotFound) {
-			return nil // object deleted within this transaction
-		}
-		return err
+		return fired, err
 	}
 	if h.Flags&obj.FlagHasTriggers == 0 {
 		db.met.fastPathSkips.Inc()
-		return nil
+		return fired, nil
 	}
 	tsOIDs, err := db.om.TriggersOn(st.tx, ref.oid)
 	if err != nil {
-		return err
+		return fired, err
 	}
-	var fired []firedRec
+	loaded := make([]firedRec, 0, len(tsOIDs))
+	acts := make([]detectAct, 0, len(tsOIDs))
 	for _, tsOID := range tsOIDs {
-		raw, err := db.om.LoadTriggerState(st.tx, tsOID, false)
+		// Exclusive from the start: a state that moves is written below,
+		// and two postings that each upgraded a shared read would
+		// deadlock on one object.
+		raw, err := db.om.LoadTriggerState(st.tx, tsOID, true)
 		if errors.Is(err, storage.ErrNotFound) {
 			continue // deactivated earlier in this transaction
 		}
 		if err != nil {
-			return err
+			return fired, err
 		}
 		var rec triggerStateRec
 		if err := json.Unmarshal(raw, &rec); err != nil {
-			return fmt.Errorf("core: corrupt trigger state %d: %w", tsOID, err)
+			return fired, fmt.Errorf("core: corrupt trigger state %d: %w", tsOID, err)
 		}
 		// Footnote 4: find the TriggerInfo via the trigger's defining
 		// class descriptor.
 		ownerBC, err := db.classByID(rec.OwnerClass)
 		if err != nil {
-			return err
+			return fired, err
 		}
 		if rec.TriggerNum >= len(ownerBC.ownTriggers) {
-			return fmt.Errorf("core: trigger state %d has trigger_num %d out of range for class %s", tsOID, rec.TriggerNum, ownerBC.Def.name)
+			return fired, fmt.Errorf("core: trigger state %d has trigger_num %d out of range for class %s", tsOID, rec.TriggerNum, ownerBC.Def.name)
 		}
 		bt := ownerBC.ownTriggers[rec.TriggerNum]
-		act := &Activation{Trigger: rec.Name, Args: rec.Args, Ref: ref, ID: TriggerID{tsOID}, EventArgs: evArgs}
-		var traceFn fsm.TraceFn
-		if tr != nil {
-			trigName, evName := rec.Name, tr.Event()
-			traceFn = func(from, to int32, mask string, outcome bool) {
-				s := obs.Step{Kind: obs.StepTransition, Trigger: trigName, Event: evName, From: from, To: to}
-				if mask != "" {
-					// §5.1.2: a mask evaluation consumes the True or
-					// False pseudo-event.
-					s.Kind, s.Mask = obs.StepMask, mask
-					if outcome {
-						s.Event = "True"
-					} else {
-						s.Event = "False"
-					}
+		loaded = append(loaded, firedRec{bt: bt, rec: rec, tsOID: tsOID, ref: ref, evArgs: evArgs, tr: tr, cause: cause, causeParent: parent})
+		acts = append(acts, detectAct{m: bt.Machine, state: rec.StateNum, perpetual: bt.Def.Perpetual})
+	}
+	if len(acts) == 0 {
+		return fired, nil
+	}
+	mask := func(i int, name string) (bool, error) {
+		return st.evalMask(ref, loaded[i].bt, loaded[i].activation(), name)
+	}
+	var trace func(i int, from, to int32, mask string, outcome bool)
+	if tr != nil {
+		evName := tr.Event()
+		trace = func(i int, from, to int32, mask string, outcome bool) {
+			s := obs.Step{Kind: obs.StepTransition, Trigger: loaded[i].rec.Name, Event: evName, From: from, To: to}
+			if mask != "" {
+				// §5.1.2: a mask evaluation consumes the True or False
+				// pseudo-event.
+				s.Kind, s.Mask, s.Event = obs.StepMask, mask, "False"
+				if outcome {
+					s.Event = "True"
 				}
-				tr.Add(s)
 			}
-		}
-		advStart := time.Now()
-		next, accepted, err := bt.Machine.AdvanceTraced(rec.StateNum, ev, st.maskEval(ref, bt, act), traceFn)
-		db.met.fsmAdvanceNs.Observe(time.Since(advStart).Nanoseconds())
-		if err != nil {
-			return err
-		}
-		if accepted {
-			rec.StateNum = next
-			f := firedRec{bt: bt, rec: rec, tsOID: tsOID, ref: ref, evArgs: evArgs, detected: time.Now(),
-				cause: cause, causeParent: parent, patCause: rec.Cause}
-			if f.patCause == "" {
-				// Single-posting pattern (or pre-provenance state): the
-				// completing posting is also the origin.
-				f.patCause = cause.String()
-			}
-			if tr != nil {
-				tr.Pin() // released when the firing's dispatch path finishes
-				f.tr = tr
-			}
-			fired = append(fired, f)
-			continue // state persisted by the disposition below
-		}
-		if next != rec.StateNum {
-			rec.StateNum = next
-			if rec.Cause == "" && !cause.IsZero() {
-				// First move off the start state: this posting is the
-				// origin of the pattern now being matched.
-				rec.Cause = cause.String()
-			}
-			if err := st.saveTriggerState(tsOID, &rec); err != nil {
-				return err
-			}
-			db.met.triggersAdvanced.Inc()
+			tr.Add(s)
 		}
 	}
+	start := time.Now()
+	outs, err := detect(acts, ev, mask, trace)
+	// One core.fsm_advance_ns observation per activation, each ⌊d/n⌋ or
+	// ⌈d/n⌉; they sum to d.
+	d, n := time.Since(start).Nanoseconds(), int64(len(acts))
+	for i := range n {
+		db.met.fsmAdvanceNs.Observe((d + i) / n)
+	}
+	if err != nil {
+		return fired, err
+	}
+	detected := time.Now()
+	for i, o := range outs {
+		f := &loaded[i]
+		patCause := f.rec.Cause
+		switch {
+		case o.state == deadState:
+			if err = db.om.RemoveTrigger(st.tx, ref.oid, f.tsOID); err == nil {
+				err = db.om.DeleteTriggerState(st.tx, f.tsOID)
+			}
+		case o.fired || o.state != f.rec.StateNum:
+			if o.fired {
+				f.rec.Cause = "" // a perpetual trigger's next pattern has its own origin
+			} else {
+				if f.rec.Cause == "" && !cause.IsZero() {
+					// First move off the start state: this posting is
+					// the origin of the pattern now being matched.
+					f.rec.Cause = cause.String()
+				}
+				db.met.triggersAdvanced.Inc()
+			}
+			f.rec.StateNum = o.state
+			err = st.saveTriggerState(f.tsOID, &f.rec)
+		}
+		if err != nil {
+			return fired, err
+		}
+		if o.fired {
+			if patCause == "" {
+				// Single-posting pattern (or pre-provenance state): the
+				// completing posting is also the origin.
+				patCause = cause.String()
+			}
+			tr.Pin() // released when the firing's dispatch path finishes
+			f.detected, f.patCause = detected, patCause
+			fired = append(fired, *f)
+		}
+	}
+	return fired, nil
+}
 
-	// Fire after all postings (§5.4.5). Disposition first: perpetual
-	// triggers reset to the start state; once-only triggers deactivate —
-	// before the action runs, so an action cannot re-trigger its own
-	// once-only activation.
+// fire dispatches a posting's firings by coupling mode (§4.2), once every
+// activation the posting fired has been disposed of: immediate actions
+// run now, in order; the others are queued for commit or for detached
+// system transactions. A failed action stops none of the others, since
+// none of them can fire again; fire returns the first error.
+func (st *txnState) fire(fired []firedRec) (err error) {
 	for i := range fired {
 		f := &fired[i]
-		if f.bt.Def.Perpetual {
-			f.rec.StateNum = f.bt.Machine.Start
-			f.rec.Cause = "" // the next pattern has its own origin
-			if err := st.saveTriggerState(f.tsOID, &f.rec); err != nil {
-				return err
-			}
-		} else {
-			if err := db.om.RemoveTrigger(st.tx, ref.oid, f.tsOID); err != nil {
-				return err
-			}
-			if err := db.om.DeleteTriggerState(st.tx, f.tsOID); err != nil {
-				return err
-			}
-		}
 		f.tr.Add(obs.Step{Kind: obs.StepFire, Trigger: f.rec.Name, Coupling: f.bt.Def.Coupling.String(), Cause: f.patCause})
 		switch f.bt.Def.Coupling {
 		case Immediate:
-			db.met.firedImmediate.Inc()
-			db.met.postToFireNs.Observe(time.Since(f.detected).Nanoseconds())
-			err := st.runAction(*f)
-			f.tr.Done()
-			if err != nil {
-				return err
+			st.db.met.firedImmediate.Inc()
+			if aerr := st.runInTxn(*f); err == nil {
+				err = aerr
 			}
 		case Deferred:
 			st.endList = append(st.endList, *f)
@@ -877,7 +876,7 @@ func (st *txnState) post(ref Ref, ev event.ID, evArgs []any) error {
 			st.indepList = append(st.indepList, *f)
 		}
 	}
-	return nil
+	return err
 }
 
 func (st *txnState) saveTriggerState(tsOID storage.OID, rec *triggerStateRec) error {
@@ -885,8 +884,17 @@ func (st *txnState) saveTriggerState(tsOID storage.OID, rec *triggerStateRec) er
 	if err != nil {
 		return err
 	}
-	// The exclusive lock here is the §6 read-to-write amplification.
+	// post took the exclusive lock when it loaded the state: the §6
+	// read-to-write amplification.
 	return st.db.om.UpdateTriggerState(st.tx, tsOID, payload)
+}
+
+// runInTxn runs an immediate or end firing inside the detecting
+// transaction.
+func (st *txnState) runInTxn(f firedRec) error {
+	st.db.met.postToFireNs.Observe(time.Since(f.detected).Nanoseconds())
+	defer f.tr.Done()
+	return st.runAction(f)
 }
 
 // runAction executes a trigger action inside the current transaction
@@ -907,7 +915,7 @@ func (st *txnState) runAction(f firedRec) error {
 		return err
 	}
 	ctx := &Ctx{db: st.db, tx: st.tx, ref: f.ref}
-	act := &Activation{Trigger: f.rec.Name, Args: f.rec.Args, Ref: f.ref, ID: TriggerID{f.tsOID}, EventArgs: f.evArgs}
+	act := f.activation()
 	f.tr.Add(obs.Step{Kind: obs.StepActionStart, Trigger: f.rec.Name})
 	// Postings made by the action are children of this firing's cause.
 	prevCause := st.ctxCause
@@ -1037,36 +1045,32 @@ func retryableDetached(err error) bool {
 	return errors.Is(err, lock.ErrDeadlock) || errors.Is(err, txn.ErrAborted)
 }
 
-// commitProcessing is the §5.5 commit path: drain the end list, post
-// before-tcomplete to every object on the transaction-event list, then
-// drain end triggers satisfied by those postings.
+// commitProcessing is the §5.5 commit path, run to a fixpoint: drain the
+// end list, post before-tcomplete to every object on the
+// transaction-event list that has not had it yet, and repeat while either
+// step added work. An end action may be the first to touch an interested
+// object; that object still gets its before-tcomplete, exactly once.
 func (st *txnState) commitProcessing(tx *txn.Txn) error {
-	if err := st.drainEndList(); err != nil {
-		return err
-	}
 	tcomplete := st.db.reg.TComplete()
-	for i := 0; i < len(st.txnObjs); i++ {
-		ref := st.txnObjs[i]
-		if err := st.post(ref, tcomplete, nil); err != nil {
-			return err
+	posted := 0 // txnObjs is append-only: txnObjs[:posted] have had before-tcomplete
+	for {
+		for len(st.endList) > 0 {
+			f := st.endList[0]
+			st.endList = st.endList[1:]
+			st.db.met.firedDeferred.Inc()
+			if err := st.runInTxn(f); err != nil {
+				return err
+			}
+		}
+		if posted == len(st.txnObjs) {
+			return nil
+		}
+		for ; posted < len(st.txnObjs); posted++ {
+			if err := st.post(st.txnObjs[posted], tcomplete, nil); err != nil {
+				return err
+			}
 		}
 	}
-	return st.drainEndList()
-}
-
-func (st *txnState) drainEndList() error {
-	for len(st.endList) > 0 {
-		f := st.endList[0]
-		st.endList = st.endList[1:]
-		st.db.met.firedDeferred.Inc()
-		st.db.met.postToFireNs.Observe(time.Since(f.detected).Nanoseconds())
-		err := st.runAction(f)
-		f.tr.Done()
-		if err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // abortProcessing posts before-tabort (explicit aborts only, §5.5/§6).
@@ -1079,9 +1083,4 @@ func (st *txnState) abortProcessing(tx *txn.Txn) {
 		// is rolling back regardless.
 		_ = st.post(st.txnObjs[i], tabort, nil)
 	}
-}
-
-// objLockRes mirrors the object manager's lock naming for header reads.
-func objLockRes(oid storage.OID) lock.Resource {
-	return lock.Resource{Space: lock.SpaceObject, ID: uint64(oid)}
 }

@@ -542,17 +542,6 @@ func TestGetIdentityWithinTransaction(t *testing.T) {
 	}
 }
 
-func TestClassNameOf(t *testing.T) {
-	db := newTestDB(t)
-	ref := newCard(t, db, 1000, true)
-	tx := db.Begin()
-	defer tx.Abort()
-	name, err := db.ClassNameOf(tx, ref)
-	if err != nil || name != "CredCard" {
-		t.Fatalf("ClassNameOf = %q, %v", name, err)
-	}
-}
-
 func TestActivationArgsPersistAsJSON(t *testing.T) {
 	db := newTestDB(t)
 	ref := newCard(t, db, 1000, true)

@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"ode/internal/event"
-	"ode/internal/storage"
 	"ode/internal/txn"
 )
 
@@ -28,56 +27,24 @@ import (
 
 // LocalTriggerID identifies a local activation within its transaction.
 type LocalTriggerID struct {
-	seq int
+	seq int // index into the transaction's append-only localTrigs
 	tx  *txnState
 }
 
 // IsNil reports an empty LocalTriggerID.
 func (l LocalTriggerID) IsNil() bool { return l.tx == nil }
 
-// localActivation is the transient counterpart of a TriggerState.
-type localActivation struct {
-	seq      int
-	bt       *BoundTrigger
-	ref      Ref
-	stateNum int32
-	args     []any
-	dead     bool // deactivated or fired (once-only)
-}
-
 // ActivateLocal activates a declared trigger as a local rule on ref: it
 // observes events for the remainder of the current transaction only. The
 // returned LocalTriggerID can cancel it early with DeactivateLocal.
 func (db *Database) ActivateLocal(tx *txn.Txn, ref Ref, trigger string, args ...any) (LocalTriggerID, error) {
 	st := db.state(tx)
-	inst, _, err := st.load(ref, false)
+	f, err := st.activation(ref, trigger, args)
 	if err != nil {
 		return LocalTriggerID{}, err
 	}
-	bt, ok := inst.bc.triggersByName[trigger]
-	if !ok {
-		return LocalTriggerID{}, fmt.Errorf("%w: %s on class %s", ErrUnknownTrigger, trigger, inst.bc.Def.name)
-	}
-	la := &localActivation{
-		seq:      st.localSeq,
-		bt:       bt,
-		ref:      ref,
-		stateNum: bt.Machine.Start,
-		args:     normalizeArgs(args),
-	}
-	st.localSeq++
-	// Resolve a mask-at-start cascade exactly as persistent activation
-	// does.
-	if start := bt.Machine.States[bt.Machine.Start]; start.Mask >= 0 {
-		act := &Activation{Trigger: trigger, Args: la.args, Ref: ref}
-		settled, _, err := bt.Machine.Settle(bt.Machine.Start, st.maskEval(ref, bt, act))
-		if err != nil {
-			return LocalTriggerID{}, err
-		}
-		la.stateNum = settled
-	}
-	st.localTrigs = append(st.localTrigs, la)
-	return LocalTriggerID{seq: la.seq, tx: st}, nil
+	st.localTrigs = append(st.localTrigs, f)
+	return LocalTriggerID{seq: len(st.localTrigs) - 1, tx: st}, nil
 }
 
 // DeactivateLocal cancels a local activation before the transaction ends.
@@ -86,77 +53,39 @@ func (db *Database) DeactivateLocal(tx *txn.Txn, id LocalTriggerID) error {
 	if id.tx != st {
 		return fmt.Errorf("core: local trigger %d belongs to another transaction", id.seq)
 	}
-	for _, la := range st.localTrigs {
-		if la.seq == id.seq && !la.dead {
-			la.dead = true
-			return nil
-		}
+	if la := st.localTrigs[id.seq]; la.rec.StateNum != deadState {
+		la.rec.StateNum = deadState
+		return nil
 	}
 	return fmt.Errorf("%w: local trigger %d", ErrNotFound, id.seq)
 }
 
-// LocalTriggersOn counts live local activations on ref (tests, tools).
-func (db *Database) LocalTriggersOn(tx *txn.Txn, ref Ref) int {
-	st := db.state(tx)
-	n := 0
+// detectLocal runs detect over the transaction's live local activations
+// on ref and applies their outcomes. It returns the firings; none has
+// run. It touches no storage and takes no locks.
+func (st *txnState) detectLocal(ref Ref, ev event.ID, evArgs []any) ([]firedRec, error) {
+	var live []*firedRec
+	var acts []detectAct
 	for _, la := range st.localTrigs {
-		if !la.dead && la.ref == ref {
-			n++
+		if la.rec.StateNum != deadState && la.ref == ref {
+			la.evArgs = evArgs
+			live = append(live, la)
+			acts = append(acts, detectAct{m: la.bt.Machine, state: la.rec.StateNum, perpetual: la.bt.Def.Perpetual})
 		}
 	}
-	return n
-}
-
-// postLocal advances local activations anchored at ref. It mirrors the
-// §5.4.5 algorithm — advance all, then fire — but touches no storage and
-// takes no locks.
-func (st *txnState) postLocal(ref Ref, ev event.ID, evArgs []any) error {
-	if len(st.localTrigs) == 0 {
-		return nil
+	outs, err := detect(acts, ev, func(i int, name string) (bool, error) {
+		return st.evalMask(ref, live[i].bt, live[i].activation(), name)
+	}, nil)
+	if err != nil {
+		return nil, err
 	}
-	var fired []*localActivation
-	for _, la := range st.localTrigs {
-		if la.dead || la.ref != ref {
-			continue
-		}
-		act := &Activation{Trigger: la.bt.Def.Name, Args: la.args, Ref: ref, EventArgs: evArgs}
-		next, accepted, err := la.bt.Machine.Advance(la.stateNum, ev, st.maskEval(ref, la.bt, act))
-		if err != nil {
-			return err
-		}
-		la.stateNum = next
-		if accepted {
-			fired = append(fired, la)
+	var fired []firedRec
+	for i, o := range outs {
+		if live[i].rec.StateNum = o.state; o.fired {
+			f := *live[i]
+			f.detected = time.Now()
+			fired = append(fired, f)
 		}
 	}
-	for _, la := range fired {
-		if la.bt.Def.Perpetual {
-			la.stateNum = la.bt.Machine.Start
-		} else {
-			la.dead = true
-		}
-		f := firedRec{
-			bt:       la.bt,
-			rec:      triggerStateRec{Name: la.bt.Def.Name, Args: la.args, ObjOID: uint64(ref.oid)},
-			tsOID:    storage.InvalidOID,
-			ref:      ref,
-			evArgs:   evArgs,
-			detected: time.Now(),
-		}
-		switch la.bt.Def.Coupling {
-		case Immediate:
-			st.db.met.firedImmediate.Inc()
-			st.db.met.postToFireNs.Observe(time.Since(f.detected).Nanoseconds())
-			if err := st.runAction(f); err != nil {
-				return err
-			}
-		case Deferred:
-			st.endList = append(st.endList, f)
-		case Dependent:
-			st.depList = append(st.depList, f)
-		case Independent:
-			st.indepList = append(st.indepList, f)
-		}
-	}
-	return nil
+	return fired, nil
 }

@@ -7,6 +7,17 @@ import (
 	"ode/internal/txn"
 )
 
+// liveLocal counts the transaction's live local activations on ref.
+func liveLocal(db *Database, tx *txn.Txn, ref Ref) int {
+	n := 0
+	for _, la := range db.state(tx).localTrigs {
+		if la.rec.StateNum != deadState && la.ref == ref {
+			n++
+		}
+	}
+	return n
+}
+
 func TestLocalTriggerFiresWithinTransaction(t *testing.T) {
 	db := newTestDB(t)
 	ref := newCard(t, db, 1000, true)
@@ -14,7 +25,7 @@ func TestLocalTriggerFiresWithinTransaction(t *testing.T) {
 	if _, err := db.ActivateLocal(tx, ref, "DenyCredit"); err != nil {
 		t.Fatal(err)
 	}
-	if db.LocalTriggersOn(tx, ref) != 1 {
+	if liveLocal(db, tx, ref) != 1 {
 		t.Fatal("local activation not recorded")
 	}
 	// The over-limit buy fires the local DenyCredit, which taborts.
@@ -48,7 +59,7 @@ func TestLocalTriggerDiesWithTransaction(t *testing.T) {
 
 	// A new transaction: the local activation is gone.
 	tx2 := db.Begin()
-	if db.LocalTriggersOn(tx2, ref) != 0 {
+	if liveLocal(db, tx2, ref) != 0 {
 		t.Fatal("local activation survived its transaction")
 	}
 	if _, err := db.Invoke(tx2, ref, "PayBill", 100.0); err != nil {
@@ -156,7 +167,7 @@ func TestLocalDeactivate(t *testing.T) {
 	if err := db.DeactivateLocal(tx, id); err != nil {
 		t.Fatal(err)
 	}
-	if db.LocalTriggersOn(tx, ref) != 0 {
+	if liveLocal(db, tx, ref) != 0 {
 		t.Fatal("deactivated local trigger still counted")
 	}
 	// Over-limit buy no longer fires.

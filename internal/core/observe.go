@@ -56,7 +56,7 @@ func newCoreMetrics(r *obs.Registry) *coreMetrics {
 		snapshotPosts:    r.Counter("core.snapshot_posts", "count", "events posted inside snapshot transactions: local rules saw them, persistent trigger processing was suppressed"),
 
 		postToFireNs:         r.Histogram("core.post_to_fire_ns", "ns", "event post to action start, per firing (detached firings include the parent's commit wait)"),
-		fsmAdvanceNs:         r.Histogram("core.fsm_advance_ns", "ns", "one trigger-state FSM advance including its mask cascade (§5.4.5 steps a–c)"),
+		fsmAdvanceNs:         r.Histogram("core.fsm_advance_ns", "ns", "one trigger-state FSM advance including its mask cascade (§5.4.5 steps a–c): an even share of its posting's timed detect call"),
 		actionNs:             r.Histogram("core.action_ns", "ns", "trigger action body execution"),
 		commitWaitNs:         r.Histogram("txn.commit_wait_ns", "ns", "ApplyCommit duration per committed transaction (on eos: the WAL group-commit durability wait)"),
 		detachedRetryDelayNs: r.Histogram("core.detached_retry_delay_ns", "ns", "backoff slept before each detached retry (§5.5 self-healing)"),

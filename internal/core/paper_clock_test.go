@@ -3,6 +3,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"path/filepath"
@@ -10,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"ode/internal/fsm"
 	"ode/internal/storage/dali"
 	"ode/internal/workload"
 )
@@ -67,41 +69,6 @@ func BenchmarkE4VolatileCall(b *testing.B) {
 func BenchmarkE4PersistentInvoke(b *testing.B) {
 	db := newTestDB(b)
 	benchInvoke(b, db, activeCard(b, db), "Buy", 1.0)
-}
-
-// queryDB registers a class whose read-only Query method drives a
-// perpetual two-step trigger, so every posting advances (writes) the
-// trigger state — §6's read-to-write amplification in its purest form —
-// and returns cards objects, each with QueryPattern active if asked.
-func queryDB(t testing.TB, cards int, withTrigger bool) (*Database, []Ref) {
-	t.Helper()
-	db := newTestDB(t, MustClass("QueryCard",
-		Factory(func() any { return new(CredCard) }),
-		ReadOnlyMethod("Query", func(ctx *Ctx, self any, args []any) (any, error) {
-			return self.(*CredCard).CurrBal, nil
-		}),
-		Events("after Query"),
-		Trigger("QueryPattern", "after Query, after Query",
-			func(ctx *Ctx, self any, act *Activation) error { return nil },
-			Perpetual()),
-	))
-	refs := make([]Ref, cards)
-	tx := db.Begin()
-	for i := range refs {
-		var err error
-		if refs[i], err = db.Create(tx, "QueryCard", &CredCard{}); err != nil {
-			t.Fatal(err)
-		}
-		if withTrigger {
-			if _, err := db.Activate(tx, refs[i], "QueryPattern"); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	if err := tx.Commit(); err != nil {
-		t.Fatal(err)
-	}
-	return db, refs
 }
 
 // TestPaperE8ReadsBecomeWrites is experiment E8 (§6): "triggers turn read
@@ -258,7 +225,9 @@ func registerOnce(t testing.TB, cls *Class) {
 // FSMs on every program run instead of persisting them, which avoids a
 // central trigger database and is viable only if compilation is cheap.
 // Binding a class with 32 composite triggers must take well under 50 ms
-// of program start-up.
+// of program start-up. Compilation stays cheap because machines are
+// bounded: a trigger whose machine would double past the state cap is
+// refused, also within 50 ms, instead of compiling 2^17 states.
 func TestPaperE13CompileEveryRun(t *testing.T) {
 	card := newCredCardClass()
 	cardUs := perOp(500, func() { registerOnce(t, card) }) / 1000
@@ -277,6 +246,18 @@ func TestPaperE13CompileEveryRun(t *testing.T) {
 	t.Logf("class with 32 composite triggers: %7.1f µs", wideUs)
 	if wideUs >= 50_000 {
 		t.Errorf("binding a 32-trigger class took %.0f µs, want < 50 ms", wideUs)
+	}
+	db, err := NewDatabase(dali.New())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	start := time.Now()
+	err = db.Register(bigMachineClass(16))
+	refuseUs := float64(time.Since(start).Microseconds())
+	t.Logf("refusing a 2^17-state trigger:    %7.1f µs", refuseUs)
+	if !errors.Is(err, fsm.ErrMachineTooLarge) || refuseUs >= 50_000 {
+		t.Errorf("Register of a 2^17-state trigger: %v after %.0f µs, want ErrMachineTooLarge in < 50 ms", err, refuseUs)
 	}
 }
 

@@ -3,6 +3,8 @@ package core
 import (
 	"bytes"
 	"fmt"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -83,6 +85,78 @@ func benchTxn(b *testing.B, db *Database, ref Ref, method string, args ...any) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		invokeTxn(b, db, ref, method, args...)
+	}
+}
+
+// queryDB registers a class whose read-only Query method drives a
+// perpetual two-step trigger, so every posting advances (writes) the
+// trigger state — §6's read-to-write amplification in its purest form —
+// and returns cards objects, each with QueryPattern active if asked.
+func queryDB(t testing.TB, cards int, withTrigger bool) (*Database, []Ref) {
+	t.Helper()
+	db := newTestDB(t, MustClass("QueryCard",
+		Factory(func() any { return new(CredCard) }),
+		ReadOnlyMethod("Query", func(ctx *Ctx, self any, args []any) (any, error) {
+			return self.(*CredCard).CurrBal, nil
+		}),
+		Events("after Query"),
+		Trigger("QueryPattern", "after Query, after Query",
+			func(ctx *Ctx, self any, act *Activation) error { return nil },
+			Perpetual()),
+	))
+	refs := make([]Ref, cards)
+	tx := db.Begin()
+	for i := range refs {
+		var err error
+		if refs[i], err = db.Create(tx, "QueryCard", &CredCard{}); err != nil {
+			t.Fatal(err)
+		}
+		if withTrigger {
+			if _, err := db.Activate(tx, refs[i], "QueryPattern"); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if err := tx.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	return db, refs
+}
+
+// TestOneObjectPostingsNeverDeadlock is E8's workload on one object:
+// eight workers each run 400 read-only transactions of two Query
+// postings with QueryPattern active. A posting takes each trigger-state
+// lock exclusively when it first reads the state, so two postings to
+// one object queue for that lock instead of each holding it shared and
+// then both asking to upgrade: no transaction deadlocks or aborts.
+func TestOneObjectPostingsNeverDeadlock(t *testing.T) {
+	const workers, perWorker = 8, 400
+	db, refs := queryDB(t, 1, true)
+	deadlocks := metric(t, db, "lock.deadlocks")
+	var wg sync.WaitGroup
+	var aborted atomic.Int64
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < perWorker; i++ {
+				tx := db.Begin()
+				_, err1 := db.Invoke(tx, refs[0], "Query")
+				_, err2 := db.Invoke(tx, refs[0], "Query")
+				if err1 != nil || err2 != nil {
+					tx.Abort()
+					aborted.Add(1)
+					continue
+				}
+				if tx.Commit() != nil {
+					aborted.Add(1)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if d := metric(t, db, "lock.deadlocks") - deadlocks; d != 0 || aborted.Load() != 0 {
+		t.Fatalf("%d deadlocks, %d aborted transactions; want 0 and 0", d, aborted.Load())
 	}
 }
 

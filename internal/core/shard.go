@@ -188,7 +188,13 @@ func decodeOutboxImage(img []byte, classID uint32) (RemoteEvent, bool) {
 func (sh *shardState) capture(tx *txn.Txn, ref Ref, name string) error {
 	db := sh.db
 	st := db.state(tx)
+	// The seq is pending from the moment it is drawn: were a larger seq
+	// to settle first, the owner's watermark would pass this one, and the
+	// owner would skip it as a duplicate.
+	sh.mu.Lock()
 	cause := db.causes.Next()
+	sh.pending[cause.Seq] = struct{}{}
+	sh.mu.Unlock()
 	ev := RemoteEvent{
 		Seq:    cause.Seq,
 		Node:   cause.Node,
@@ -197,16 +203,16 @@ func (sh *shardState) capture(tx *txn.Txn, ref Ref, name string) error {
 		Parent: st.ctxCause.String(),
 	}
 	payload, err := json.Marshal(&ev)
+	var oid storage.OID
+	if err == nil {
+		oid, err = db.om.Create(tx, sh.classID, 0, payload)
+	}
 	if err != nil {
+		sh.mu.Lock()
+		delete(sh.pending, ev.Seq)
+		sh.mu.Unlock()
 		return err
 	}
-	oid, err := db.om.Create(tx, sh.classID, 0, payload)
-	if err != nil {
-		return err
-	}
-	sh.mu.Lock()
-	sh.pending[ev.Seq] = struct{}{}
-	sh.mu.Unlock()
 	st.outbox = append(st.outbox, OutboxEntry{RemoteEvent: ev, OID: uint64(oid)})
 	sh.captured.Inc()
 	db.met.eventsPosted.Inc()

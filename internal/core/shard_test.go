@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"path/filepath"
+	"sync/atomic"
 	"testing"
 
 	"ode/internal/storage"
@@ -366,5 +367,74 @@ func TestShardDisabledErrors(t *testing.T) {
 	}
 	if err := db.TrimOutbox([]uint64{1}); !errors.Is(err, ErrShardingDisabled) {
 		t.Fatalf("got %v, want ErrShardingDisabled", err)
+	}
+}
+
+// gatedStore blocks the first OID reservation made while armed until
+// release is closed, holding a capture between drawing its seq and
+// creating its outbox record.
+type gatedStore struct {
+	*dali.Manager
+	armed   atomic.Bool
+	entered chan struct{}
+	release chan struct{}
+}
+
+func (g *gatedStore) ReserveOID() (storage.OID, error) {
+	if g.armed.CompareAndSwap(true, false) {
+		close(g.entered)
+		<-g.release
+	}
+	return g.Manager.ReserveOID()
+}
+
+func TestShardCaptureHoldsFloorFromItsSeq(t *testing.T) {
+	store := dali.New()
+	store.SetOIDFilter(evenOdd(0))
+	g := &gatedStore{Manager: store, entered: make(chan struct{}), release: make(chan struct{})}
+	a, err := NewDatabase(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer a.Close()
+	if err := a.Register(newDocClass()); err != nil {
+		t.Fatal(err)
+	}
+	if err := a.EnableSharding(evenOdd(0)); err != nil {
+		t.Fatal(err)
+	}
+	remote := RefFromOID(19) // odd: the other shard's
+	// tx1 draws the smaller seq, then stalls creating its record while
+	// tx2 captures and commits. tx2's record must not settle before
+	// tx1's: forwarded first, it would put tx1's seq below the owner's
+	// watermark, and tx1's event would be skipped as a duplicate.
+	g.armed.Store(true)
+	done := make(chan error, 1)
+	go func() {
+		tx1 := a.Begin()
+		if err := a.PostUserEvent(tx1, remote, "Flag"); err != nil {
+			done <- err
+			return
+		}
+		done <- tx1.Commit()
+	}()
+	<-g.entered
+	tx2 := a.Begin()
+	if err := a.PostUserEvent(tx2, remote, "Flag"); err != nil {
+		t.Fatal(err)
+	}
+	if err := tx2.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	out := a.SettledOutbox()
+	close(g.release)
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	if len(out) != 0 {
+		t.Fatalf("seq %d settled while the smaller seq of a capture in progress had no record yet", out[0].Seq)
+	}
+	if out := a.SettledOutbox(); len(out) != 2 || out[0].Seq >= out[1].Seq {
+		t.Fatalf("settled outbox after both commits: %+v, want 2 entries in seq order", out)
 	}
 }

@@ -2,6 +2,8 @@ package core
 
 import (
 	"testing"
+
+	"ode/internal/storage"
 )
 
 // auditFixture: an Account class interested in transaction events. The
@@ -229,5 +231,90 @@ func TestAfterTabortRejectedAtClassBuild(t *testing.T) {
 	)
 	if err == nil {
 		t.Fatal("after tcommit accepted")
+	}
+}
+
+// TestCommitProcessingReachesFixpoint checks that before tcomplete
+// reaches every interested object exactly once, including one that a
+// commit-time end action touches first (§5.5). End is a perpetual
+// end-coupled trigger on before tcomplete whose action deposits into
+// the object named by its argument; Seen counts each object's before
+// tcomplete.
+func TestCommitProcessingReachesFixpoint(t *testing.T) {
+	seen := map[Ref]int{}
+	deposit := Method("Deposit", func(ctx *Ctx, self any, args []any) (any, error) {
+		self.(*CredCard).CurrBal++
+		return nil, nil
+	})
+	seenTrig := Trigger("Seen", "before tcomplete", func(ctx *Ctx, self any, act *Activation) error {
+		seen[act.Ref]++
+		return nil
+	}, Perpetual())
+	db := newTestDB(t,
+		MustClass("Drv",
+			Factory(func() any { return new(CredCard) }),
+			Method("Go", func(ctx *Ctx, self any, args []any) (any, error) { return nil, nil }),
+			deposit,
+			Events("before tcomplete"),
+			Trigger("End", "before tcomplete", func(ctx *Ctx, self any, act *Activation) error {
+				_, err := ctx.Invoke(RefFromOID(storage.OID(act.ArgFloat(0))), "Deposit")
+				return err
+			}, WithCoupling(Deferred), Perpetual()),
+			seenTrig,
+		),
+		MustClass("Acct",
+			Factory(func() any { return new(CredCard) }),
+			deposit,
+			Events("before tcomplete"),
+			seenTrig,
+		),
+	)
+	rows := []struct {
+		name       string
+		class      string // of the object End deposits into
+		touchFirst bool   // the transaction deposits into it before commit
+	}{
+		{"late object of another class", "Acct", false},
+		{"late object of the end trigger's class", "Drv", false},
+		{"object already posted to", "Acct", true},
+	}
+	for _, row := range rows {
+		t.Run(row.name, func(t *testing.T) {
+			tx := db.Begin()
+			drv, err := db.Create(tx, "Drv", &CredCard{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			target, err := db.Create(tx, row.class, &CredCard{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := db.Activate(tx, drv, "End", float64(target.OID())); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := db.Activate(tx, target, "Seen"); err != nil {
+				t.Fatal(err)
+			}
+			if err := tx.Commit(); err != nil {
+				t.Fatal(err)
+			}
+			clear(seen)
+
+			tx = db.Begin()
+			if row.touchFirst {
+				if _, err := db.Invoke(tx, target, "Deposit"); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if _, err := db.Invoke(tx, drv, "Go"); err != nil {
+				t.Fatal(err)
+			}
+			if err := tx.Commit(); err != nil {
+				t.Fatal(err)
+			}
+			if seen[target] != 1 {
+				t.Fatalf("target saw before tcomplete %d times, want 1", seen[target])
+			}
+		})
 	}
 }

@@ -114,7 +114,7 @@ func TestSettle(t *testing.T) {
 	if m.States[m.Start].Mask == NoMask {
 		t.Skip("construction did not yield a mask start state for this expression")
 	}
-	settled, accepted, err := m.Settle(m.Start, c.eval)
+	settled, accepted, err := m.Settle(m.Start, c.eval, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,11 +125,11 @@ func TestSettle(t *testing.T) {
 		t.Fatal("Settle accepted without consuming input")
 	}
 	// Out-of-range state errors.
-	if _, _, err := m.Settle(99, c.eval); err == nil {
+	if _, _, err := m.Settle(99, c.eval, nil); err == nil {
 		t.Fatal("Settle(out-of-range) succeeded")
 	}
 	// Settling a non-mask state is a no-op.
-	if s2, _, err := m.Settle(settled, c.eval); err != nil || s2 != settled {
+	if s2, _, err := m.Settle(settled, c.eval, nil); err != nil || s2 != settled {
 		t.Fatalf("no-op settle: %d, %v", s2, err)
 	}
 }

@@ -20,6 +20,7 @@
 package fsm
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 	"strings"
@@ -31,10 +32,17 @@ import (
 // NoMask marks a state with no mask to evaluate (§5.4.3's NoMask).
 const NoMask = -1
 
-// Dead is the sentinel for "no successor": returned only inside anchored
-// machines, where a mismatching event kills the match permanently. The
-// dead state is a real state with no transitions.
-//
+// maxStates caps the states of one machine. Subset construction is
+// exponential in the worst case, and every Register compiles every
+// machine (§5.1.3), so an unbounded machine would stall every process
+// that opens the database. The largest machine the repository's own
+// schemas compile has 18 states.
+const maxStates = 1024
+
+// ErrMachineTooLarge reports an event expression whose machine would
+// need more than maxStates states.
+var ErrMachineTooLarge = errors.New("fsm: machine too large")
+
 // Transition is one entry of a state's sparse transition list (§5.4.3):
 // when Event is posted in the owning state, move to Next.
 type Transition struct {
@@ -165,6 +173,9 @@ func Compile(p *eventexpr.Parsed, opts Options) (*Machine, error) {
 		return nil, b.err
 	}
 	m := b.determinize(g, p.Anchored)
+	if m == nil {
+		return nil, fmt.Errorf("%w: %q needs more than %d states", ErrMachineTooLarge, p.Source, maxStates)
+	}
 	m.Source = p.Source
 	return m, nil
 }
@@ -304,7 +315,8 @@ func makeKey(set []int32, accept bool) dfaKey {
 // determinize runs subset construction over candidate-position sets. A DFA
 // state's set holds the positions that may consume the *next* symbol;
 // the accept flag records whether the consumption that entered the state
-// completed the expression.
+// completed the expression. It returns nil once the machine passes
+// maxStates.
 func (b *builder) determinize(g glu, anchored bool) *Machine {
 	lastSet := make(map[int32]bool, len(g.last))
 	for _, p := range g.last {
@@ -380,7 +392,7 @@ func (b *builder) determinize(g glu, anchored bool) *Machine {
 	start := intern(normalize(g.first), g.nullable)
 	m.Start = start
 
-	for len(work) > 0 {
+	for len(work) > 0 && len(m.States) <= maxStates {
 		id := work[0]
 		work = work[1:]
 		set := sets[id]
@@ -450,6 +462,9 @@ func (b *builder) determinize(g glu, anchored bool) *Machine {
 			trans = append(trans, Transition{a, nid})
 		}
 		m.States[id].Trans = trans
+	}
+	if len(m.States) > maxStates {
+		return nil
 	}
 	return m
 }
@@ -541,9 +556,27 @@ func (m *Machine) AdvanceTraced(state int32, ev event.ID, eval MaskEval, trace T
 	if trace != nil {
 		trace(state, cur, "", false)
 	}
-	accepted = m.States[cur].Accept
-	// Mask cascade: "Potentially, multiple mask events must be posted
-	// before the system quiesces" (§5.4.5).
+	return m.cascade(cur, eval, trace)
+}
+
+// Settle resolves a mask cascade starting at state without consuming a
+// basic event. It is needed at trigger activation when the expression's
+// first position is a mask (e.g. "(*A & m), B" evaluates m immediately).
+// It returns the quiesced state and whether an accept state was reached
+// during the cascade. trace, if not nil, observes each mask step.
+func (m *Machine) Settle(state int32, eval MaskEval, trace TraceFn) (int32, bool, error) {
+	if int(state) < 0 || int(state) >= len(m.States) {
+		return state, false, fmt.Errorf("fsm: state %d out of range [0,%d)", state, len(m.States))
+	}
+	return m.cascade(state, eval, trace)
+}
+
+// cascade feeds mask outcomes to the machine from cur until it reaches a
+// state with no mask: "Potentially, multiple mask events must be posted
+// before the system quiesces" (§5.4.5). accepted reports whether cur or
+// any state after it accepts.
+func (m *Machine) cascade(cur int32, eval MaskEval, trace TraceFn) (int32, bool, error) {
+	accepted := m.States[cur].Accept
 	for m.States[cur].Mask != NoMask {
 		st := m.States[cur]
 		v, err := eval(m.Masks[st.Mask])
@@ -558,35 +591,6 @@ func (m *Machine) AdvanceTraced(state int32, ev event.ID, eval MaskEval, trace T
 		}
 		if trace != nil {
 			trace(from, cur, m.Masks[st.Mask], v)
-		}
-		if m.States[cur].Accept {
-			accepted = true
-		}
-	}
-	return cur, accepted, nil
-}
-
-// Settle resolves a mask cascade starting at state without consuming a
-// basic event. It is needed at trigger activation when the expression's
-// first position is a mask (e.g. "(*A & m), B" evaluates m immediately).
-// It returns the quiesced state and whether an accept state was reached
-// during the cascade.
-func (m *Machine) Settle(state int32, eval MaskEval) (int32, bool, error) {
-	if int(state) < 0 || int(state) >= len(m.States) {
-		return state, false, fmt.Errorf("fsm: state %d out of range [0,%d)", state, len(m.States))
-	}
-	cur := state
-	accepted := m.States[cur].Accept
-	for m.States[cur].Mask != NoMask {
-		st := m.States[cur]
-		v, err := eval(m.Masks[st.Mask])
-		if err != nil {
-			return cur, accepted, fmt.Errorf("fsm: mask %q: %w", m.Masks[st.Mask], err)
-		}
-		if v {
-			cur = st.OnTrue
-		} else {
-			cur = st.OnFalse
 		}
 		if m.States[cur].Accept {
 			accepted = true

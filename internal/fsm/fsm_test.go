@@ -573,3 +573,27 @@ func TestMachinesAreShared(t *testing.T) {
 		t.Fatalf("activation 2 should still be unarmed")
 	}
 }
+
+// doubling is "after A" followed by n copies of "(after A || after B)".
+// Unanchored, it needs 2^(n+1) states: the machine must remember which
+// of the last n+1 events were A.
+func doubling(n int) string {
+	return "after A" + strings.Repeat(", (after A || after B)", n)
+}
+
+// TestCompileStateCap checks the cap on machine size: the doubling
+// family compiles up to exactly maxStates states and fails one term
+// later with ErrMachineTooLarge, which names the cap.
+func TestCompileStateCap(t *testing.T) {
+	c := newTestClass(event.Decl{Kind: event.KindAfter, Name: "A"}, event.Decl{Kind: event.KindAfter, Name: "B"})
+	m, err := Compile(eventexpr.MustParse(doubling(9)), c.options())
+	if err != nil || m.NumStates() != maxStates {
+		t.Fatalf("doubling(9): err %v; want exactly %d states", err, maxStates)
+	}
+	for _, n := range []int{10, 16} {
+		_, err := Compile(eventexpr.MustParse(doubling(n)), c.options())
+		if !errors.Is(err, ErrMachineTooLarge) || !strings.Contains(err.Error(), fmt.Sprint(maxStates)) {
+			t.Fatalf("doubling(%d): err %v, want ErrMachineTooLarge naming %d", n, err, maxStates)
+		}
+	}
+}

@@ -53,7 +53,7 @@ func (d *denseIndexed) Advance(state int32, ev event.ID, eval MaskEval) (int32, 
 	if cur == state && !m.hasTransition(state, ev) {
 		return state, false, nil
 	}
-	return m.Settle(cur, eval)
+	return m.Settle(cur, eval, nil)
 }
 
 // footprint reports the matrix bytes (4 per cell, no map needed).

@@ -580,10 +580,3 @@ func (m *Manager) ClusterScan(tx *txn.Txn, name string, fn func(storage.OID) err
 	}
 	return nil
 }
-
-// ClusterLen reports the member count of the named cluster.
-func (m *Manager) ClusterLen(tx *txn.Txn, name string) (int, error) {
-	n := 0
-	err := m.ClusterScan(tx, name, func(storage.OID) error { n++; return nil })
-	return n, err
-}

@@ -335,7 +335,7 @@ func TestClusters(t *testing.T) {
 	if err := m.ClusterRemove(tx, "cards", oids[2]); err != nil {
 		t.Fatal(err)
 	}
-	n, _ := m.ClusterLen(tx, "cards")
+	n, _ := clusterLen(m, tx, "cards")
 	if n != 4 {
 		t.Fatalf("len after remove = %d", n)
 	}
@@ -349,6 +349,13 @@ func TestClusters(t *testing.T) {
 	tx.Commit()
 }
 
+// clusterLen counts the members of the named cluster with ClusterScan.
+func clusterLen(m *Manager, tx *txn.Txn, name string) (int, error) {
+	n := 0
+	err := m.ClusterScan(tx, name, func(storage.OID) error { n++; return nil })
+	return n, err
+}
+
 func TestClustersSeparateNames(t *testing.T) {
 	m := newMgr(t)
 	tx := m.Txns().Begin()
@@ -358,8 +365,8 @@ func TestClustersSeparateNames(t *testing.T) {
 	b, _ := m.Create(tx, cid, 0, nil)
 	m.ClusterAdd(tx, "one", a)
 	m.ClusterAdd(tx, "two", b)
-	n1, _ := m.ClusterLen(tx, "one")
-	n2, _ := m.ClusterLen(tx, "two")
+	n1, _ := clusterLen(m, tx, "one")
+	n2, _ := clusterLen(m, tx, "two")
 	if n1 != 1 || n2 != 1 {
 		t.Fatalf("cluster cross-talk: %d %d", n1, n2)
 	}
@@ -442,7 +449,7 @@ func TestClusterRemoveUnknownCluster(t *testing.T) {
 	if err := m.ClusterRemove(tx, "ghost", 5); err != nil {
 		t.Fatalf("remove from unknown cluster: %v", err)
 	}
-	if n, err := m.ClusterLen(tx, "ghost"); err != nil || n != 0 {
+	if n, err := clusterLen(m, tx, "ghost"); err != nil || n != 0 {
 		t.Fatalf("ghost cluster len = %d, %v", n, err)
 	}
 }

@@ -58,6 +58,7 @@ import (
 	"fmt"
 
 	"ode/internal/core"
+	"ode/internal/fsm"
 	"ode/internal/storage"
 	"ode/internal/storage/dali"
 	"ode/internal/storage/eos"
@@ -148,6 +149,9 @@ var (
 	ErrUnknownMethod  = core.ErrUnknownMethod
 	ErrUnknownTrigger = core.ErrUnknownTrigger
 	ErrUnknownEvent   = core.ErrUnknownEvent
+	// ErrMachineTooLarge reports a trigger whose machine would pass the
+	// per-machine state cap; Register fails with it.
+	ErrMachineTooLarge = fsm.ErrMachineTooLarge
 )
 
 // NewClass builds and validates a class definition.
